@@ -1,9 +1,9 @@
-//! Deterministic replay of the sequential controller's Memory Catalog
-//! accounting, shared by the engine's multi-lane executor and the
+//! Deterministic replay of the one-lane controller's Memory Catalog
+//! accounting, shared by the engine's refresh executor and the
 //! simulator's multi-lane model so their admit-or-fallback decisions can
 //! never drift apart.
 //!
-//! The sequential controller walks `plan.order`; at each flagged node with
+//! The one-lane controller walks `plan.order`; at each flagged node with
 //! consumers it admits the output if it fits the remaining budget
 //! (otherwise the node falls back to a blocking write), and after each
 //! node it releases every parent whose consumers have all executed. This
@@ -213,8 +213,8 @@ impl AdmissionReplay {
     }
 }
 
-/// Bounded run-ahead window shared by the engine's multi-lane refresh
-/// executor and its simulator mirror: with `lanes` compute lanes, a node
+/// Bounded run-ahead window shared by the engine's refresh executor and
+/// its simulator mirror: with `lanes` compute lanes, a node
 /// may only start once every node more than this many plan positions
 /// before it has computed. This caps the number of computed-but-
 /// unpublished outputs held outside the Memory Catalog's accounting while

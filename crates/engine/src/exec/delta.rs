@@ -451,6 +451,10 @@ pub fn aggs_mergeable(aggs: &[(AggFunc, String, String)]) -> bool {
 /// stored value (in place, preserving first-seen group order), and groups
 /// first seen in the delta are appended in delta order — exactly where a
 /// full recomputation would put them.
+///
+/// The work scales with the delta: stored rows the delta does not touch
+/// are copied column-wise, and a stored row is only probed for its group
+/// key, never re-aggregated.
 pub fn merge_aggregate(
     current: &Table,
     delta: &TableDelta,
@@ -467,48 +471,36 @@ pub fn merge_aggregate(
             "Avg cannot be merged from its stored value".into(),
         ));
     }
-    if current.num_columns() != group_by.len() + aggs.len() {
+    let nkeys = group_by.len();
+    if current.num_columns() != nkeys + aggs.len() {
         return Err(EngineError::ArityMismatch {
-            expected: group_by.len() + aggs.len(),
+            expected: nkeys + aggs.len(),
             got: current.num_columns(),
         });
     }
-
-    /// Accumulator resumed from (or started beyond) the stored output.
-    #[derive(Clone, Copy)]
-    struct Resumed {
-        acc: f64,
-        seen: bool,
+    if let Some(f) = current.schema().fields()[nkeys..].iter().find(|f| {
+        !matches!(
+            f.dtype,
+            DataType::Int64 | DataType::Float64 | DataType::Date
+        )
+    }) {
+        return Err(EngineError::TypeMismatch {
+            expected: "numeric".into(),
+            got: f.dtype.to_string(),
+            context: "merge_aggregate".into(),
+        });
     }
 
-    // One accumulator per (group, aggregate): existing groups resume from
-    // the stored scalar, new groups start fresh.
-    let mut states: HashMap<Vec<RowKey>, Vec<Resumed>> = HashMap::new();
-    let mut existing_order: Vec<Vec<RowKey>> = Vec::with_capacity(current.num_rows());
-    for row in 0..current.num_rows() {
-        let key: Vec<RowKey> = (0..group_by.len())
-            .map(|c| current.column(c).key(row))
-            .collect();
-        let resumed: Vec<Resumed> = aggs
-            .iter()
-            .enumerate()
-            .map(|(j, _)| Resumed {
-                acc: current
-                    .value(row, group_by.len() + j)
-                    .as_f64()
-                    .unwrap_or(0.0),
-                seen: true,
-            })
-            .collect();
-        existing_order.push(key.clone());
-        states.insert(key, resumed);
+    /// One group the delta reaches: where it was first seen, its
+    /// aggregate inputs in row order, and its stored row if it exists.
+    struct Touched {
+        batch: usize,
+        row: usize,
+        inputs: Vec<Vec<f64>>,
+        stored: Option<usize>,
     }
-
-    // Fold the delta inserts, batch by batch, in row order — the same
-    // left-to-right order a full recomputation would see after the inserts
-    // landed at the end of the input.
-    let mut new_order: Vec<Vec<RowKey>> = Vec::new();
-    let mut new_key_rows: Vec<(usize, usize)> = Vec::new(); // (batch, row) of first sighting
+    let mut index: HashMap<Vec<RowKey>, usize> = HashMap::new();
+    let mut touched: Vec<Touched> = Vec::new();
     for (b, batch) in delta.batches().iter().enumerate() {
         let ins = &batch.inserts;
         let key_cols: Vec<&Column> = group_by
@@ -521,82 +513,91 @@ pub fn merge_aggregate(
             .collect::<Result<_>>()?;
         for row in 0..ins.num_rows() {
             let key: Vec<RowKey> = key_cols.iter().map(|c| c.key(row)).collect();
-            let entry = states.entry(key.clone()).or_insert_with(|| {
-                new_order.push(key);
-                new_key_rows.push((b, row));
-                vec![
-                    Resumed {
-                        acc: 0.0,
-                        seen: false
-                    };
-                    aggs.len()
-                ]
+            let g = *index.entry(key).or_insert_with(|| {
+                touched.push(Touched {
+                    batch: b,
+                    row,
+                    inputs: vec![Vec::new(); aggs.len()],
+                    stored: None,
+                });
+                touched.len() - 1
             });
-            for ((state, col), (func, _, _)) in entry.iter_mut().zip(&agg_cols).zip(aggs) {
-                let v = col.value(row).as_f64().unwrap_or(0.0);
-                let acc = if state.seen {
-                    match func {
-                        AggFunc::Count => state.acc + 1.0,
-                        AggFunc::Sum => state.acc + v,
-                        AggFunc::Min => state.acc.min(v),
-                        AggFunc::Max => state.acc.max(v),
-                        AggFunc::Avg => unreachable!("rejected above"),
-                    }
-                } else {
-                    match func {
-                        AggFunc::Count => 1.0,
-                        _ => v,
-                    }
-                };
-                *state = Resumed { acc, seen: true };
+            for (inputs, col) in touched[g].inputs.iter_mut().zip(&agg_cols) {
+                inputs.push(col.value(row).as_f64().unwrap_or(0.0));
             }
         }
     }
-
-    // Existing groups in stored order (updated in place), then new groups
-    // in first-seen delta order.
-    let mut columns: Vec<Column> = current
-        .schema()
-        .fields()
-        .iter()
-        .map(|f| Column::with_capacity(f.dtype, current.num_rows() + new_order.len()))
-        .collect();
-    let emit =
-        |columns: &mut Vec<Column>, key_values: Vec<Value>, resumed: &[Resumed]| -> Result<()> {
-            for (i, v) in key_values.into_iter().enumerate() {
-                columns[i].push(v)?;
-            }
-            for (j, state) in resumed.iter().enumerate() {
-                let out_idx = group_by.len() + j;
-                let value = match current.schema().fields()[out_idx].dtype {
-                    DataType::Int64 => Value::Int64(state.acc as i64),
-                    DataType::Float64 => Value::Float64(state.acc),
-                    DataType::Date => Value::Date(state.acc as i32),
-                    other => {
-                        return Err(EngineError::TypeMismatch {
-                            expected: "numeric".into(),
-                            got: other.to_string(),
-                            context: "merge_aggregate".into(),
-                        })
-                    }
-                };
-                columns[out_idx].push(value)?;
-            }
-            Ok(())
-        };
-    for (row, key) in existing_order.iter().enumerate() {
-        let resumed = &states[key];
-        let key_values: Vec<Value> = (0..group_by.len()).map(|c| current.value(row, c)).collect();
-        emit(&mut columns, key_values, resumed)?;
+    if touched.is_empty() {
+        return Ok(current.clone());
     }
-    for (key, &(b, row)) in new_order.iter().zip(&new_key_rows) {
-        let resumed = &states[key];
-        let ins = &delta.batches()[b].inserts;
-        let key_values: Vec<Value> = group_by
+    for row in 0..current.num_rows() {
+        let key: Vec<RowKey> = (0..nkeys).map(|c| current.column(c).key(row)).collect();
+        if let Some(&g) = index.get(&key) {
+            touched[g].stored = Some(row);
+        }
+    }
+
+    // Fold the delta inputs in row order — the same left-to-right order a
+    // full recomputation sees after the inserts land at the end of its
+    // input — resuming from the stored value when the group exists.
+    let fold = |func: AggFunc, stored: Option<f64>, inputs: &[f64]| -> f64 {
+        inputs
             .iter()
-            .map(|g| Ok(ins.column_by_name(g)?.value(row)))
-            .collect::<Result<_>>()?;
-        emit(&mut columns, key_values, resumed)?;
+            .fold(stored, |acc, &v| {
+                Some(match (acc, func) {
+                    (None, AggFunc::Count) => 1.0,
+                    (None, _) => v,
+                    (Some(a), AggFunc::Count) => a + 1.0,
+                    (Some(a), AggFunc::Sum) => a + v,
+                    (Some(a), AggFunc::Min) => a.min(v),
+                    (Some(a), AggFunc::Max) => a.max(v),
+                    (Some(_), AggFunc::Avg) => unreachable!("rejected above"),
+                })
+            })
+            .unwrap_or(0.0)
+    };
+    let numeric = |dtype: DataType, acc: f64| match dtype {
+        DataType::Int64 => Value::Int64(acc as i64),
+        DataType::Date => Value::Date(acc as i32),
+        _ => Value::Float64(acc),
+    };
+
+    // Stored groups stay in place (only touched aggregates change), then
+    // new groups follow in first-seen delta order.
+    let mut columns = current.columns().to_vec();
+    for t in &touched {
+        let accs = aggs
+            .iter()
+            .zip(&t.inputs)
+            .enumerate()
+            .map(|(j, ((func, _, _), inputs))| {
+                let stored = t
+                    .stored
+                    .map(|row| current.value(row, nkeys + j).as_f64().unwrap_or(0.0));
+                fold(*func, stored, inputs)
+            });
+        match t.stored {
+            Some(row) => {
+                for (j, acc) in accs.enumerate() {
+                    match &mut columns[nkeys + j] {
+                        Column::Int64(v) => v[row] = acc as i64,
+                        Column::Date(v) => v[row] = acc as i32,
+                        Column::Float64(v) => v[row] = acc,
+                        _ => unreachable!("checked numeric above"),
+                    }
+                }
+            }
+            None => {
+                let ins = &delta.batches()[t.batch].inserts;
+                for (c, g) in group_by.iter().enumerate() {
+                    columns[c].push(ins.column_by_name(g)?.value(t.row))?;
+                }
+                for (j, acc) in accs.enumerate() {
+                    let col = &mut columns[nkeys + j];
+                    col.push(numeric(col.data_type(), acc))?;
+                }
+            }
+        }
     }
     Table::new(current.schema().clone(), columns)
 }

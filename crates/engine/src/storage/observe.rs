@@ -50,7 +50,8 @@ pub struct Observation {
     pub full: bool,
     /// Output rows after the run.
     pub rows: u64,
-    /// Input-delta bytes the run absorbed (0 for full recomputes).
+    /// Input-delta bytes as mode planning priced the node's delta path
+    /// (0 for full recomputes).
     pub delta_bytes: u64,
     /// Output-delta bytes persisted by the append path (0 otherwise).
     pub appended_bytes: u64,

@@ -24,6 +24,7 @@ pub struct ServeMetrics {
     malformed: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
+    threads: AtomicU64,
     latency_us: [AtomicU64; HIST_BUCKETS],
 }
 
@@ -92,6 +93,16 @@ impl ServeMetrics {
         self.bytes_out.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Counts one more live server thread.
+    pub(crate) fn thread_started(&self) {
+        self.threads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one server thread fewer.
+    pub(crate) fn thread_exited(&self) {
+        self.threads.fetch_sub(1, Ordering::Relaxed);
+    }
+
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut hist = [0u64; HIST_BUCKETS];
@@ -110,6 +121,7 @@ impl ServeMetrics {
             malformed: self.malformed.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
+            threads: self.threads.load(Ordering::Relaxed),
             // Cache counters live in the server's `SnapshotCache`; the
             // server merges them in (`MetricsSnapshot::merge_cache`).
             cache_hits: 0,
@@ -181,6 +193,10 @@ pub struct MetricsSnapshot {
     pub bytes_in: u64,
     /// Response payload bytes sent.
     pub bytes_out: u64,
+    /// Threads the server owns that are alive right now: the accept
+    /// loop, the workers, each served connection's reader, and shed
+    /// drainers.
+    pub threads: u64,
     /// Read-class requests served from the shared-snapshot cache.
     pub cache_hits: u64,
     /// Read-class requests that took the full pinned read path.
@@ -291,6 +307,7 @@ impl MetricsSnapshot {
             "rejections: {} overloaded, {} deadline, {} malformed\n",
             self.rejected_overloaded, self.rejected_deadline, self.malformed,
         ));
+        out.push_str(&format!("threads: {} live\n", self.threads));
         out.push_str(&format!(
             "snapshot cache: {} hits, {} misses, {} evicted, {} B cached\n",
             self.cache_hits, self.cache_misses, self.cache_evicted, self.cache_bytes,
@@ -322,6 +339,7 @@ impl MetricsSnapshot {
             self.malformed,
             self.bytes_in,
             self.bytes_out,
+            self.threads,
             self.cache_hits,
             self.cache_misses,
             self.cache_evicted,
@@ -348,6 +366,7 @@ impl MetricsSnapshot {
             malformed: r.u64()?,
             bytes_in: r.u64()?,
             bytes_out: r.u64()?,
+            threads: r.u64()?,
             cache_hits: r.u64()?,
             cache_misses: r.u64()?,
             cache_evicted: r.u64()?,
@@ -442,7 +461,9 @@ mod tests {
         m.record_malformed();
         m.add_bytes_in(10);
         m.add_bytes_out(20);
+        m.thread_started();
         let s = m.snapshot();
+        assert_eq!(s.threads, 1);
         let mut buf = Vec::new();
         s.encode_into(&mut buf);
         let mut r = Reader::new(&buf);

@@ -1,12 +1,14 @@
 //! The thread-pooled, pipelined TCP server.
 //!
-//! One accept thread admits connections into a **bounded** rendezvous
-//! queue (`std::sync::mpsc::sync_channel`); a fixed pool of workers takes
-//! connections off the queue and serves requests until the peer closes.
-//! Admission control is load shedding, not queueing: when every worker is
-//! busy and the backlog is full, the accept thread answers a typed
-//! [`ErrorCode::Overloaded`] frame and closes — a client is never parked
-//! in an unbounded queue. The graceful-shed drain itself runs on a
+//! One accept thread admits connections into a **bounded** queue; a fixed
+//! pool of workers takes connections off the queue and serves requests
+//! until the peer closes. Admission control is load shedding, not
+//! queueing: the server counts the connections it holds, and when every
+//! worker is busy and the backlog is full, the accept thread answers a
+//! typed [`ErrorCode::Overloaded`] frame and closes — a client is never
+//! parked in an unbounded queue. Workers count as idle from the moment
+//! [`Server::bind`] returns, so a new server never sheds its first
+//! clients. The graceful-shed drain itself runs on a
 //! **capped** pool of detached drainer threads ([`MAX_DRAINERS`]); past
 //! the cap, rejected connections are closed immediately so a connection
 //! flood can never become a thread flood.
@@ -40,7 +42,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -71,9 +73,8 @@ pub const MAX_DRAINERS: usize = 8;
 pub struct ServeConfig {
     /// Worker threads (each serves one connection at a time).
     pub workers: usize,
-    /// Admitted-but-unclaimed connection bound. `0` makes admission a
-    /// pure rendezvous: a connection is admitted only if a worker is
-    /// waiting for one right now.
+    /// Admitted-but-unclaimed connection bound. `0` admits a connection
+    /// only if a worker is idle.
     pub backlog: usize,
     /// Per-request deadline, measured from the moment the request frame
     /// is fully received to the moment its response starts writing.
@@ -156,7 +157,12 @@ impl Server {
                 .set_retention_hook(move |horizon| cache.evict_below(horizon));
         }
         let workers = config.workers.max(1);
-        let (tx, rx) = sync_channel::<TcpStream>(config.backlog);
+        // Connections the server may hold: one per worker plus the
+        // backlog. A slot is taken at admission and returned when a worker
+        // finishes the connection, so the queue below never fills.
+        let capacity = workers + config.backlog;
+        let slots = Arc::new(AtomicUsize::new(capacity));
+        let (tx, rx) = sync_channel::<TcpStream>(capacity);
         let rx = Arc::new(Mutex::new(rx));
 
         let mut worker_handles = Vec::with_capacity(workers);
@@ -166,40 +172,43 @@ impl Server {
             let metrics = Arc::clone(&metrics);
             let cache = Arc::clone(&cache);
             let stop = Arc::clone(&stop);
+            let slots = Arc::clone(&slots);
             let config = config.clone();
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sc-serve-worker-{i}"))
-                    .spawn(move || worker_loop(rx, session, metrics, cache, stop, config))?,
-            );
+            worker_handles.push(spawn_counted(
+                &Arc::clone(&metrics),
+                &format!("sc-serve-worker-{i}"),
+                move || worker_loop(rx, session, metrics, cache, stop, slots, config),
+            )?);
         }
 
         let accept = {
             let stop = Arc::clone(&stop);
             let metrics = Arc::clone(&metrics);
             let drainers = Arc::new(AtomicUsize::new(0));
-            std::thread::Builder::new()
-                .name("sc-serve-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        match tx.try_send(stream) {
-                            Ok(()) => {}
-                            Err(TrySendError::Full(stream)) => {
-                                // Load shedding: typed backpressure, not
-                                // unbounded queueing.
-                                metrics.record_overloaded();
-                                metrics.record_error();
-                                shed_connection(stream, &drainers);
-                            }
-                            Err(TrySendError::Disconnected(_)) => break,
-                        }
+            spawn_counted(&Arc::clone(&metrics), "sc-serve-accept", move || {
+                for stream in listener.incoming() {
+                    if stop.load(Ordering::SeqCst) {
+                        break;
                     }
-                    // Dropping `tx` unblocks every worker's `recv`.
-                })?
+                    let Ok(stream) = stream else { continue };
+                    let admitted = slots
+                        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |free| {
+                            free.checked_sub(1)
+                        })
+                        .is_ok();
+                    if !admitted {
+                        // Load shedding: typed backpressure, not
+                        // unbounded queueing.
+                        metrics.record_overloaded();
+                        metrics.record_error();
+                        shed_connection(stream, &drainers, &metrics);
+                    } else if tx.try_send(stream).is_err() {
+                        // Disconnected: every worker is gone.
+                        break;
+                    }
+                }
+                // Dropping `tx` unblocks every worker's `recv`.
+            })?
         };
 
         Ok(Server {
@@ -265,6 +274,34 @@ impl Drop for Server {
     }
 }
 
+/// Keeps one live server thread counted in [`ServeMetrics`] until it
+/// drops.
+struct ThreadCount(Arc<ServeMetrics>);
+
+impl Drop for ThreadCount {
+    fn drop(&mut self) {
+        self.0.thread_exited();
+    }
+}
+
+/// Spawns a named server thread that the metrics' live-thread gauge
+/// counts for its whole life (from before `spawn` returns, so a caller
+/// never observes it uncounted).
+fn spawn_counted(
+    metrics: &Arc<ServeMetrics>,
+    name: &str,
+    f: impl FnOnce() + Send + 'static,
+) -> io::Result<JoinHandle<()>> {
+    metrics.thread_started();
+    let count = ThreadCount(Arc::clone(metrics));
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            let _count = count;
+            f()
+        })
+}
+
 /// Writes one length-prefixed frame.
 fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
     stream.write_all(&(payload.len() as u32).to_le_bytes())?;
@@ -286,7 +323,11 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
 /// second, so an unbounded spawn-per-rejection would turn the flood into
 /// a thread explosion exactly when the server is least able to afford
 /// one.
-fn shed_connection(mut stream: TcpStream, drainers: &Arc<AtomicUsize>) {
+fn shed_connection(
+    mut stream: TcpStream,
+    drainers: &Arc<AtomicUsize>,
+    metrics: &Arc<ServeMetrics>,
+) {
     let mut live = drainers.load(Ordering::Relaxed);
     loop {
         if live >= MAX_DRAINERS {
@@ -299,44 +340,42 @@ fn shed_connection(mut stream: TcpStream, drainers: &Arc<AtomicUsize>) {
         }
     }
     let pool = Arc::clone(drainers);
-    let spawned = std::thread::Builder::new()
-        .name("sc-serve-drain".into())
-        .spawn(move || {
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
-            if write_frame(
-                &mut stream,
-                &error_frame(&WireError {
-                    code: ErrorCode::Overloaded,
-                    kind: String::new(),
-                    message: "admission bound reached; retry later".into(),
-                }),
-            )
-            .is_ok()
-            {
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-                let mut scratch = [0u8; 512];
-                let deadline = Instant::now() + Duration::from_secs(1);
-                while Instant::now() < deadline {
-                    match stream.read(&mut scratch) {
-                        // EOF: the peer saw our FIN (and the frame) and
-                        // closed.
-                        Ok(0) => break,
-                        Ok(_) => {}
-                        // Timeouts keep draining until the deadline —
-                        // the peer may still be mid-write; anything else
-                        // is fatal anyway.
-                        Err(e)
-                            if matches!(
-                                e.kind(),
-                                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                            ) => {}
-                        Err(_) => break,
-                    }
+    let spawned = spawn_counted(metrics, "sc-serve-drain", move || {
+        let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+        if write_frame(
+            &mut stream,
+            &error_frame(&WireError {
+                code: ErrorCode::Overloaded,
+                kind: String::new(),
+                message: "admission bound reached; retry later".into(),
+            }),
+        )
+        .is_ok()
+        {
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+            let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+            let mut scratch = [0u8; 512];
+            let deadline = Instant::now() + Duration::from_secs(1);
+            while Instant::now() < deadline {
+                match stream.read(&mut scratch) {
+                    // EOF: the peer saw our FIN (and the frame) and
+                    // closed.
+                    Ok(0) => break,
+                    Ok(_) => {}
+                    // Timeouts keep draining until the deadline —
+                    // the peer may still be mid-write; anything else
+                    // is fatal anyway.
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                        ) => {}
+                    Err(_) => break,
                 }
             }
-            pool.fetch_sub(1, Ordering::AcqRel);
-        });
+        }
+        pool.fetch_sub(1, Ordering::AcqRel);
+    });
     if spawned.is_err() {
         drainers.fetch_sub(1, Ordering::AcqRel);
     }
@@ -440,6 +479,7 @@ fn worker_loop(
     metrics: Arc<ServeMetrics>,
     cache: Arc<SnapshotCache>,
     stop: Arc<AtomicBool>,
+    slots: Arc<AtomicUsize>,
     config: ServeConfig,
 ) {
     loop {
@@ -457,12 +497,15 @@ fn worker_loop(
                     message: "server is draining".into(),
                 }),
             );
-            continue;
+        } else {
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+            let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
+            serve_connection(&mut stream, &session, &metrics, &cache, &stop, &config);
         }
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
-        serve_connection(&mut stream, &session, &metrics, &cache, &stop, &config);
+        // Done with this connection: its admission slot frees.
+        drop(stream);
+        slots.fetch_add(1, Ordering::AcqRel);
     }
 }
 
@@ -508,7 +551,7 @@ fn reader_loop(mut stream: TcpStream, halt: &Halt<'_>, tx: SyncSender<Inbound>) 
 fn serve_connection(
     stream: &mut TcpStream,
     session: &ScSession,
-    metrics: &ServeMetrics,
+    metrics: &Arc<ServeMetrics>,
     cache: &SnapshotCache,
     stop: &Arc<AtomicBool>,
     config: &ServeConfig,
@@ -521,18 +564,16 @@ fn serve_connection(
     let reader = {
         let stop = Arc::clone(stop);
         let done = Arc::clone(&done);
-        std::thread::Builder::new()
-            .name("sc-serve-reader".into())
-            .spawn(move || {
-                reader_loop(
-                    reader_stream,
-                    &Halt {
-                        stop: &stop,
-                        done: &done,
-                    },
-                    tx,
-                )
-            })
+        spawn_counted(metrics, "sc-serve-reader", move || {
+            reader_loop(
+                reader_stream,
+                &Halt {
+                    stop: &stop,
+                    done: &done,
+                },
+                tx,
+            )
+        })
     };
     let Ok(reader) = reader else {
         return;

@@ -18,8 +18,8 @@
 //! * [`dag`] — the DAG substrate;
 //! * [`engine`] — a mini columnar warehouse: expressions, operators, a
 //!   columnar file format, disk/memory catalogs, the append-only delta
-//!   log, and the refresh controller (sequential, plus a multi-lane
-//!   worker-pool executor selected via [`sc_engine::RefreshConfig`] /
+//!   log, and the refresh controller (one executor on the calling thread
+//!   plus `lanes - 1` pool workers, set via [`sc_engine::RefreshConfig`] /
 //!   [`ScSessionBuilder::lanes`]; per-node full, incremental, or skipped
 //!   maintenance via [`sc_core::RefreshMode`]);
 //! * [`sim`] — a discrete-event simulator for paper-scale experiments
@@ -38,8 +38,9 @@
 //! see `examples/serve.rs`.
 //!
 //! The crate's own façade is [`ScSession`] (long-lived, `Arc`-shareable,
-//! plan-managing; `ScSystem` remains as an alias for the pre-redesign
-//! name) plus the [`RefreshReport`] a managed refresh returns.
+//! plan-managing, opened with [`ScSession::builder`] or
+//! [`ScSession::from_spec`]) plus the [`RefreshReport`] a managed refresh
+//! returns.
 //!
 //! ## Quickstart
 //!
@@ -78,9 +79,9 @@
 //! println!("{}", optimized.explain()); // why each node was flagged/skipped
 //! ```
 //!
-//! The paper's explicit three-call flow is still available when you want
-//! to hold the plan yourself: [`ScSession::baseline_refresh`] →
-//! [`ScSession::optimize_from`] → [`ScSession::refresh_with_plan`].
+//! To hold the plan yourself, run it with [`ScSession::refresh_with_plan`]
+//! — the report's [`RefreshReport::plan`] is the plan a managed refresh
+//! executed.
 
 pub use sc_core as core;
 pub use sc_dag as dag;
@@ -92,7 +93,7 @@ mod report;
 mod system;
 
 pub use report::RefreshReport;
-pub use system::{ScError, ScSession, ScSessionBuilder, ScSnapshot, ScSystem};
+pub use system::{ScError, ScSession, ScSessionBuilder, ScSnapshot};
 
 /// Commonly used items across the workspace.
 pub mod prelude {

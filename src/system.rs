@@ -13,11 +13,8 @@
 //! and refreshed with the plan-managing [`ScSession::refresh`]: the first
 //! call profiles the workload and caches an optimized [`Plan`]; later
 //! calls reuse it until MV registration or observed size drift invalidates
-//! the cache.
-//!
-//! The paper's explicit three-call flow ([`ScSession::baseline_refresh`] →
-//! [`ScSession::optimize_from`] → [`ScSession::refresh_with_plan`])
-//! remains available for callers that want to hold the plan themselves.
+//! the cache. Callers that hold a plan themselves run it with
+//! [`ScSession::refresh_with_plan`].
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -116,11 +113,6 @@ impl From<sc_workload::ScenarioError> for ScError {
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, ScError>;
-
-/// The pre-refactor name of [`ScSession`], kept so existing callers (and
-/// the paper-flavored reading of "the S/C system") keep compiling. The
-/// two names are interchangeable.
-pub type ScSystem = ScSession;
 
 /// Typed configuration for an [`ScSession`], built with
 /// [`ScSession::builder`].
@@ -309,30 +301,6 @@ impl ScSession {
         ScSessionBuilder::default()
     }
 
-    /// Opens a session storing tables under `dir` with a Memory Catalog
-    /// of `memory_budget` bytes (builder shorthand kept from the original
-    /// API).
-    pub fn open(dir: impl AsRef<Path>, memory_budget: u64) -> Result<Self> {
-        ScSession::builder()
-            .storage_dir(dir)
-            .memory_budget(memory_budget)
-            .build()
-    }
-
-    /// Opens a session whose external storage is paced by `throttle`
-    /// (builder shorthand kept from the original API).
-    pub fn open_throttled(
-        dir: impl AsRef<Path>,
-        memory_budget: u64,
-        throttle: Throttle,
-    ) -> Result<Self> {
-        ScSession::builder()
-            .storage_dir(dir)
-            .memory_budget(memory_budget)
-            .throttle(throttle)
-            .build()
-    }
-
     /// Opens a session from a [`ScenarioSpec`]: storage under `dir`, the
     /// spec's budget/lanes/mode/throttle applied, its base tables loaded,
     /// and its MV DAG registered. The same spec value drives the
@@ -354,29 +322,6 @@ impl ScSession {
             session.register_mv(mv.clone())?;
         }
         Ok(session)
-    }
-
-    /// Overrides the cost model used for speedup-score estimation
-    /// (pre-`Arc` configuration; prefer [`ScSessionBuilder::cost_model`]).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Overrides the refresh parallelism settings (pre-`Arc`
-    /// configuration; prefer [`ScSessionBuilder::refresh_config`]).
-    pub fn with_refresh_config(mut self, refresh: RefreshConfig) -> Self {
-        self.refresh = refresh;
-        self
-    }
-
-    /// Shorthand for [`ScSession::with_refresh_config`].
-    pub fn with_lanes(self, lanes: usize) -> Self {
-        let refresh = RefreshConfig {
-            lanes: lanes.max(1),
-            ..self.refresh
-        };
-        self.with_refresh_config(refresh)
     }
 
     /// The refresh parallelism settings in effect.
@@ -458,22 +403,6 @@ impl ScSession {
         Ok(g)
     }
 
-    /// Refreshes all MVs in plain topological order with nothing flagged —
-    /// the unoptimized baseline, which doubles as the profiling run that
-    /// collects execution metadata for the optimizer.
-    pub fn baseline_refresh(&self) -> Result<RunMetrics> {
-        let mvs = self.mvs();
-        let order = Self::graph_of(&mvs)?.kahn_order();
-        self.run_plan(&mvs, &Plan::unoptimized(order))
-    }
-
-    /// Runs the optimizer on metadata from a previous refresh.
-    pub fn optimize_from(&self, metrics: &RunMetrics) -> Result<Plan> {
-        let mvs = self.mvs();
-        let problem = problem_from_metrics(&mvs, metrics, &self.cost, self.memory.budget())?;
-        Ok(ScOptimizer::default().optimize(&problem)?)
-    }
-
     /// The pending delta log (changes ingested since the last refresh).
     pub fn delta_store(&self) -> &DeltaStore {
         &self.deltas
@@ -549,8 +478,9 @@ impl ScSession {
         Ok(metrics)
     }
 
-    /// Executes a refresh run under an explicitly-held `plan` (the
-    /// original three-call flow; managed sessions use
+    /// Executes a refresh run under an explicitly-held `plan`, e.g.
+    /// `Plan::unoptimized(session.dependency_graph()?.kahn_order())` for
+    /// the unoptimized baseline (managed sessions use
     /// [`ScSession::refresh`] instead).
     ///
     /// When deltas have been ingested since the last refresh, the
@@ -562,19 +492,6 @@ impl ScSession {
         self.run_plan(&self.mvs(), plan)
     }
 
-    /// Profile-optimize-refresh in one call: runs the baseline, derives a
-    /// plan, executes it, and returns `(plan, baseline, optimized)`.
-    ///
-    /// This re-profiles on *every* call; long-lived sessions should use
-    /// [`ScSession::refresh`], which caches the optimized plan across
-    /// calls.
-    pub fn refresh_optimized(&self) -> Result<(Plan, RunMetrics, RunMetrics)> {
-        let baseline = self.baseline_refresh()?;
-        let plan = self.optimize_from(&baseline)?;
-        let optimized = self.refresh_with_plan(&plan)?;
-        Ok((plan, baseline, optimized))
-    }
-
     /// Brings every registered MV up to date, managing the optimizer plan
     /// internally.
     ///
@@ -582,7 +499,7 @@ impl ScSession {
     /// is a **profiling run**: it refreshes in unoptimized topological
     /// order, derives an optimized plan from the observed metrics, and
     /// caches it. Subsequent calls execute the cached plan directly — no
-    /// per-call re-profiling, unlike [`ScSession::refresh_optimized`].
+    /// per-call re-profiling.
     ///
     /// The cache is invalidated by (a) [`ScSession::register_mv`] — the
     /// plan no longer covers the workload — or (b) observed output-size
@@ -808,7 +725,11 @@ mod tests {
 
     fn session() -> (tempfile::TempDir, ScSession) {
         let dir = tempfile::tempdir().unwrap();
-        let sys = ScSession::open(dir.path(), 8 << 20).unwrap();
+        let sys = ScSession::builder()
+            .storage_dir(dir.path())
+            .memory_budget(8 << 20)
+            .build()
+            .unwrap();
         TinyTpcds::generate(0.2, 42).load_into(sys.disk()).unwrap();
         for mv in sales_pipeline() {
             sys.register_mv(mv).unwrap();
@@ -819,10 +740,12 @@ mod tests {
     #[test]
     fn end_to_end_profile_optimize_refresh() {
         let (_dir, sys) = session();
-        let (plan, baseline, optimized) = sys.refresh_optimized().unwrap();
-        assert_eq!(baseline.nodes.len(), 9);
-        assert_eq!(optimized.nodes.len(), 9);
-        assert!(plan.flagged.count() > 0);
+        let baseline = sys.refresh().unwrap();
+        let optimized = sys.refresh().unwrap();
+        assert!(baseline.profiled && !optimized.profiled);
+        assert_eq!(baseline.nodes().len(), 9);
+        assert_eq!(optimized.nodes().len(), 9);
+        assert!(optimized.plan.flagged.count() > 0);
         assert!(sys.memory().is_empty(), "memory catalog drained after run");
         for mv in sys.mvs() {
             assert!(sys.disk().contains(&mv.name));
@@ -985,7 +908,8 @@ mod tests {
     #[test]
     fn ingest_then_refresh_consumes_the_delta_log() {
         let (_dir, sys) = session();
-        let (plan, _, _) = sys.refresh_optimized().unwrap();
+        sys.refresh().unwrap();
+        let plan = sys.refresh().unwrap().plan;
 
         // Churn one fact table: duplicate a slice of existing rows.
         let sales = sys.disk().read_table("store_sales").unwrap();
@@ -1018,12 +942,16 @@ mod tests {
     #[test]
     fn errors_are_wrapped() {
         let dir = tempfile::tempdir().unwrap();
-        let sys = ScSession::open(dir.path(), 1 << 20).unwrap();
+        let sys = ScSession::builder()
+            .storage_dir(dir.path())
+            .memory_budget(1 << 20)
+            .build()
+            .unwrap();
         // No base tables ingested: refresh must fail with an engine error.
         for mv in sales_pipeline() {
             sys.register_mv(mv).unwrap();
         }
-        match sys.baseline_refresh() {
+        match sys.refresh() {
             Err(ScError::Engine(EngineError::UnknownTable(_))) => {}
             other => panic!("expected unknown table, got {other:?}"),
         }

@@ -3,14 +3,18 @@
 //! engine/simulator agreement on plan rankings.
 
 use sc::prelude::*;
-use sc::ScSystem;
+use sc::ScSession;
 use sc_core::ScOptimizer;
 use sc_workload::engine_mvs::{problem_from_metrics, sales_pipeline};
 use sc_workload::tpcds::TinyTpcds;
 
-fn system_with_data(budget: u64, scale: f64) -> (tempfile::TempDir, ScSystem) {
+fn system_with_data(budget: u64, scale: f64) -> (tempfile::TempDir, ScSession) {
     let dir = tempfile::tempdir().unwrap();
-    let sys = ScSystem::open(dir.path(), budget).unwrap();
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(budget)
+        .build()
+        .unwrap();
     TinyTpcds::generate(scale, 42)
         .load_into(sys.disk())
         .unwrap();
@@ -23,20 +27,19 @@ fn system_with_data(budget: u64, scale: f64) -> (tempfile::TempDir, ScSystem) {
 #[test]
 fn optimized_run_produces_byte_identical_mvs() {
     let (_dir, sys) = system_with_data(8 << 20, 0.5);
-    let baseline = sys.baseline_refresh().unwrap();
+    assert!(sys.refresh().unwrap().profiled);
     let baseline_tables: Vec<_> = sys
         .mvs()
         .iter()
         .map(|mv| sys.disk().read_table(&mv.name).unwrap())
         .collect();
 
-    let plan = sys.optimize_from(&baseline).unwrap();
+    let optimized = sys.refresh().unwrap();
     assert!(
-        plan.flagged.count() > 0,
+        optimized.plan.flagged.count() > 0,
         "expected some flagging at this budget"
     );
-    let optimized = sys.refresh_with_plan(&plan).unwrap();
-    assert_eq!(optimized.nodes.len(), sys.mvs().len());
+    assert_eq!(optimized.nodes().len(), sys.mvs().len());
 
     for (mv, before) in sys.mvs().iter().zip(baseline_tables) {
         let after = sys.disk().read_table(&mv.name).unwrap();
@@ -52,7 +55,7 @@ fn optimized_run_produces_byte_identical_mvs() {
 #[test]
 fn plans_respect_budget_and_dependencies() {
     let (_dir, sys) = system_with_data(2 << 20, 0.5);
-    let baseline = sys.baseline_refresh().unwrap();
+    let baseline = sys.refresh().unwrap().metrics;
     let problem = problem_from_metrics(
         &sys.mvs(),
         &baseline,
@@ -75,16 +78,16 @@ fn plans_respect_budget_and_dependencies() {
 #[test]
 fn flagged_hub_is_read_from_memory_by_all_consumers() {
     let (_dir, sys) = system_with_data(32 << 20, 0.5);
-    let baseline = sys.baseline_refresh().unwrap();
-    let plan = sys.optimize_from(&baseline).unwrap();
+    sys.refresh().unwrap();
+    let optimized = sys.refresh().unwrap();
     // The enriched_sales hub (3 consumers, big output) must be flagged.
     assert!(
-        plan.flagged.contains(NodeId(0)),
-        "hub must be flagged: {plan:?}"
+        optimized.plan.flagged.contains(NodeId(0)),
+        "hub must be flagged: {:?}",
+        optimized.plan
     );
-    let optimized = sys.refresh_with_plan(&plan).unwrap();
     let hub_consumers: Vec<_> = optimized
-        .nodes
+        .nodes()
         .iter()
         .filter(|n| ["rev_by_category", "rev_by_year", "premium_sales"].contains(&n.name.as_str()))
         .collect();
@@ -101,15 +104,14 @@ fn flagged_hub_is_read_from_memory_by_all_consumers() {
 #[test]
 fn tiny_budget_degrades_gracefully_to_baseline_behavior() {
     let (_dir, sys) = system_with_data(64, 0.3); // 64 bytes: nothing fits
-    let baseline = sys.baseline_refresh().unwrap();
-    let plan = sys.optimize_from(&baseline).unwrap();
+    sys.refresh().unwrap();
+    let run = sys.refresh().unwrap();
     assert_eq!(
-        plan.flagged.count(),
+        run.plan.flagged.count(),
         0,
         "nothing can be flagged in 64 bytes"
     );
-    let run = sys.refresh_with_plan(&plan).unwrap();
-    assert_eq!(run.peak_memory_bytes, 0);
+    assert_eq!(run.metrics.peak_memory_bytes, 0);
     for mv in sys.mvs() {
         assert!(sys.disk().contains(&mv.name));
     }
@@ -125,15 +127,20 @@ fn simulator_and_engine_agree_on_plan_ranking() {
         write_bps: 20e6,
         latency_s: 1e-3,
     };
-    let sys = ScSystem::open_throttled(dir.path(), 16 << 20, throttle).unwrap();
+    let sys = ScSession::builder()
+        .storage_dir(dir.path())
+        .memory_budget(16 << 20)
+        .throttle(throttle)
+        .build()
+        .unwrap();
     TinyTpcds::generate(1.0, 42).load_into(sys.disk()).unwrap();
     for mv in sales_pipeline() {
         sys.register_mv(mv).unwrap();
     }
-    let baseline = sys.baseline_refresh().unwrap();
-    let plan = sys.optimize_from(&baseline).unwrap();
-    let optimized = sys.refresh_with_plan(&plan).unwrap();
-    let engine_speedup = baseline.total_s / optimized.total_s;
+    let baseline = sys.refresh().unwrap().metrics;
+    let optimized = sys.refresh().unwrap();
+    let plan = optimized.plan.clone();
+    let engine_speedup = baseline.total_s / optimized.total_s();
 
     // Simulation twin: per-node compute + sizes from the profile.
     let graph = sys.dependency_graph().unwrap();
@@ -178,10 +185,11 @@ fn simulator_and_engine_agree_on_plan_ranking() {
 #[test]
 fn repeated_refreshes_are_idempotent() {
     let (_dir, sys) = system_with_data(8 << 20, 0.3);
-    let (plan, _, first) = sys.refresh_optimized().unwrap();
-    let second = sys.refresh_with_plan(&plan).unwrap();
-    assert_eq!(first.nodes.len(), second.nodes.len());
-    for (a, b) in first.nodes.iter().zip(&second.nodes) {
+    sys.refresh().unwrap();
+    let first = sys.refresh().unwrap();
+    let second = sys.refresh_with_plan(&first.plan).unwrap();
+    assert_eq!(first.nodes().len(), second.nodes.len());
+    for (a, b) in first.nodes().iter().zip(&second.nodes) {
         assert_eq!(
             a.output_bytes, b.output_bytes,
             "{} changed between runs",

@@ -498,7 +498,7 @@ fn mirror_observed_annotates_sim_nodes_from_the_sidecar() {
         .with_refresh_mode(RefreshMode::AlwaysIncremental);
     let dir = tempfile::tempdir().unwrap();
     let session = ScSession::from_spec(dir.path(), &spec).unwrap();
-    let baseline = session.baseline_refresh().unwrap();
+    let baseline = session.refresh().unwrap().metrics;
 
     // The profiling run persisted one full observation per node.
     let sidecar = ObservationStore::load(session.disk().dir().join(SIDECAR_FILE));

@@ -5,10 +5,12 @@
 
 use std::sync::Arc;
 
-use sc::{ScSession, ScSystem};
+use sc::ScSession;
+use sc_core::{CostModel, Plan, ScOptimizer};
+use sc_engine::controller::RefreshConfig;
 use sc_engine::exec::TableDelta;
 use sc_engine::storage::Throttle;
-use sc_workload::engine_mvs::sales_pipeline;
+use sc_workload::engine_mvs::{problem_from_metrics, sales_pipeline};
 use sc_workload::tpcds::TinyTpcds;
 
 fn load_and_register(sys: &ScSession) {
@@ -32,40 +34,6 @@ fn mv_file_bytes(sys: &ScSession) -> Vec<(String, StoredFiles)> {
             )
         })
         .collect()
-}
-
-/// A builder with no overrides behaves byte-identically to the historical
-/// `ScSystem::open` with the documented default budget: same config, same
-/// derived plan, same MV bytes.
-#[test]
-fn builder_defaults_match_open() {
-    let dir_a = tempfile::tempdir().unwrap();
-    let via_builder = ScSession::builder()
-        .storage_dir(dir_a.path())
-        .build()
-        .unwrap();
-    let dir_b = tempfile::tempdir().unwrap();
-    // `ScSystem` is the pre-redesign name; 64 MiB is the builder default.
-    let via_open = ScSystem::open(dir_b.path(), 64 << 20).unwrap();
-
-    assert_eq!(via_builder.memory().budget(), via_open.memory().budget());
-    assert_eq!(via_builder.refresh_config(), via_open.refresh_config());
-
-    load_and_register(&via_builder);
-    load_and_register(&via_open);
-    let (plan_a, _, _) = via_builder.refresh_optimized().unwrap();
-    let (plan_b, _, _) = via_open.refresh_optimized().unwrap();
-    assert_eq!(plan_a, plan_b, "same defaults must derive the same plan");
-    for ((name_a, bytes_a), (name_b, bytes_b)) in mv_file_bytes(&via_builder)
-        .into_iter()
-        .zip(mv_file_bytes(&via_open))
-    {
-        assert_eq!(name_a, name_b);
-        assert_eq!(
-            bytes_a, bytes_b,
-            "MV '{name_a}' differs across constructors"
-        );
-    }
 }
 
 /// A batch ingested *while* a refresh is executing is never half-applied:
@@ -265,25 +233,50 @@ fn profiling_with_pending_churn_still_flags_quiet_branches() {
     assert!(sys.has_cached_plan());
 }
 
-/// The managed lifecycle and the explicit three-call flow produce the
-/// same optimized outcome on the same data.
+/// The managed lifecycle caches exactly the plan the optimizer derives
+/// from its profiling run, and a session running that plan explicitly
+/// reproduces the managed run. A builder with no overrides carries the
+/// documented defaults.
 #[test]
-fn managed_refresh_matches_explicit_flow() {
+fn managed_refresh_caches_the_plan_optimized_from_its_profile() {
     let dir_a = tempfile::tempdir().unwrap();
-    let managed = ScSession::open(dir_a.path(), 8 << 20).unwrap();
+    let managed = ScSession::builder()
+        .storage_dir(dir_a.path())
+        .build()
+        .unwrap();
+    assert_eq!(managed.memory().budget(), 64 << 20);
+    assert_eq!(managed.refresh_config(), RefreshConfig::default());
     let dir_b = tempfile::tempdir().unwrap();
-    let explicit = ScSession::open(dir_b.path(), 8 << 20).unwrap();
+    let explicit = ScSession::builder()
+        .storage_dir(dir_b.path())
+        .build()
+        .unwrap();
     load_and_register(&managed);
     load_and_register(&explicit);
 
-    managed.refresh().unwrap();
+    let profile = managed.refresh().unwrap();
+    assert!(profile.profiled);
+    let problem = problem_from_metrics(
+        &managed.mvs(),
+        &profile.metrics,
+        &CostModel::paper(),
+        managed.memory().budget(),
+    )
+    .unwrap();
+    let plan = ScOptimizer::default().optimize(&problem).unwrap();
+    assert!(plan.flagged.count() > 0, "expected flagging at this budget");
     let report = managed.refresh().unwrap();
+    assert!(!report.profiled);
+    assert_eq!(
+        report.plan, plan,
+        "the profile must cache the optimizer's plan"
+    );
 
-    let baseline = explicit.baseline_refresh().unwrap();
-    let plan = explicit.optimize_from(&baseline).unwrap();
+    let order = explicit.dependency_graph().unwrap().kahn_order();
+    explicit
+        .refresh_with_plan(&Plan::unoptimized(order))
+        .unwrap();
     let metrics = explicit.refresh_with_plan(&plan).unwrap();
-
-    assert_eq!(report.plan, plan, "same profile must cache the same plan");
     assert_eq!(report.nodes().len(), metrics.nodes.len());
     for (a, b) in report.nodes().iter().zip(&metrics.nodes) {
         assert_eq!(a.name, b.name);

@@ -45,7 +45,7 @@ fn assert_parity(spec: &ScenarioSpec, scenario: &str) -> HashMap<String, NodeMod
     let session = ScSession::from_spec(dir.path(), spec).unwrap();
     // Profiling refresh: every node executes, so mirrored compute times
     // and output sizes are real.
-    let baseline = session.baseline_refresh().unwrap();
+    let baseline = session.refresh().unwrap().metrics;
     for round in 0..spec.churn.len() {
         spec.ingest_round(round, session.disk(), session.delta_store())
             .unwrap();
@@ -96,7 +96,7 @@ fn parity_holds_on_fragmented_and_compacted_state() {
         }
         let dir = tempfile::tempdir().unwrap();
         let session = ScSession::from_spec(dir.path(), &spec).unwrap();
-        let baseline = session.baseline_refresh().unwrap();
+        let baseline = session.refresh().unwrap().metrics;
         let plan = Plan::unoptimized((0..spec.mvs.len()).map(NodeId).collect());
 
         // Round 0 is ingested and refreshed up front, leaving the hub

@@ -20,8 +20,9 @@
 //!   segment that no manifest references — the prior version stays fully
 //!   readable and the orphan is pruned by the next rewrite/compact.
 //! * Reads verify every referenced segment against its manifest-recorded
-//!   byte length and FNV-1a checksum, so torn or truncated segment files
-//!   fail with [`EngineError::Corrupt`] instead of being silently read.
+//!   byte length and FNV-1a checksum — once per segment per read — so
+//!   torn or truncated segment files fail with [`EngineError::Corrupt`]
+//!   instead of being silently read.
 //! * [`DiskCatalog::write_table`] (a full rewrite, e.g. an MV recompute)
 //!   and [`DiskCatalog::compact`] both produce the **canonical
 //!   single-segment form**: exactly one segment with id 0 plus its
@@ -36,10 +37,11 @@
 //!
 //! Every commit (rewrite, append, compact, drop) advances a per-catalog
 //! **manifest epoch**. [`DiskCatalog::pin`] returns an [`EpochPin`] that
-//! pins the current epoch: reads through the pin resolve each table to
-//! the file versions committed at pin time, byte for byte, while
-//! writers keep committing. A commit that replaces files moves them
-//! into the retained namespace (`<file>~<epoch>`, see
+//! pins the current epoch (the catalog's own live readers run the same
+//! read bodies through an unpinned view): reads through the pin resolve
+//! each table to the file versions committed at pin time, byte for
+//! byte, while writers keep committing. A commit that replaces files
+//! moves them into the retained namespace (`<file>~<epoch>`, see
 //! [`format::retained_name`]) instead of deleting them; epoch-based GC
 //! deletes a retained file only once the oldest live pin is at or past
 //! its supersede epoch (immediately, when nothing is pinned). The
@@ -66,6 +68,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 
+use crate::plan::{LogicalPlan, TableSource};
 use crate::storage::format::{self, Manifest, SegmentMeta};
 use crate::table::Table;
 use crate::{EngineError, Result};
@@ -394,7 +397,17 @@ impl DiskCatalog {
         *self.pins.lock().entry(epoch).or_insert(0) += 1;
         EpochPin {
             catalog: self,
-            epoch,
+            epoch: Some(epoch),
+        }
+    }
+
+    /// The unpinned view the live readers go through: it resolves the
+    /// live files, retries under cross-handle writers, and never touches
+    /// the pin refcounts.
+    fn live(&self) -> EpochPin<'_> {
+        EpochPin {
+            catalog: self,
+            epoch: None,
         }
     }
 
@@ -556,137 +569,6 @@ impl DiskCatalog {
         Ok(())
     }
 
-    /// Verifies raw segment bytes against the manifest entry and decodes
-    /// them.
-    fn verify_segment(name: &str, seg: &SegmentMeta, raw: Vec<u8>) -> Result<Table> {
-        if raw.len() as u64 != seg.bytes {
-            return Err(EngineError::Corrupt(format!(
-                "{name}: segment {} is {} bytes, manifest records {}",
-                seg.id,
-                raw.len(),
-                seg.bytes
-            )));
-        }
-        if format::fnv1a64(&raw) != seg.checksum {
-            return Err(EngineError::Corrupt(format!(
-                "{name}: segment {} fails its checksum",
-                seg.id
-            )));
-        }
-        let table = format::decode(Bytes::from(raw))?;
-        if table.num_rows() as u64 != seg.rows {
-            // Catches manifest corruption the byte checks cannot (the
-            // rows field is metadata, not part of the segment payload).
-            return Err(EngineError::Corrupt(format!(
-                "{name}: segment {} holds {} rows, manifest records {}",
-                seg.id,
-                table.num_rows(),
-                seg.rows
-            )));
-        }
-        Ok(table)
-    }
-
-    /// Resolves the on-disk path serving `file` for a reader pinned at
-    /// `pin`: the oldest retained copy superseding the pinned version,
-    /// else the live file. Unpinned readers always get the live file.
-    fn path_at(&self, file: &str, pin: Option<u64>) -> PathBuf {
-        if let Some(e) = pin {
-            if let Some(s) = self
-                .retained
-                .lock()
-                .iter()
-                .filter(|r| r.file == file && r.epoch > e)
-                .map(|r| r.epoch)
-                .min()
-            {
-                return self.dir.join(format::retained_name(file, s));
-            }
-        }
-        self.dir.join(file)
-    }
-
-    /// Loads `name`'s manifest as of `pin` (`None` = the live version),
-    /// returning it with its raw bytes. The pinned resolution: the
-    /// oldest retained manifest copy superseding the pin, else the live
-    /// manifest — unless the table was created after the pin, which
-    /// must stay invisible ([`EngineError::UnknownTable`]).
-    fn manifest_at(&self, name: &str, safe: &str, pin: Option<u64>) -> Result<(Manifest, Vec<u8>)> {
-        if let Some(e) = pin {
-            let file = Self::manifest_file(safe);
-            let born = self.born.lock().get(safe).copied().unwrap_or(0);
-            let candidate = self
-                .retained
-                .lock()
-                .iter()
-                .filter(|r| r.file == file && r.epoch > e)
-                .map(|r| r.epoch)
-                .min();
-            match candidate {
-                // A retained copy from *before* the table's (re)creation
-                // belongs to the incarnation the pin saw; one from after
-                // it holds post-pin state and must not resurface.
-                Some(s) if born <= e || s <= born => {
-                    let raw = fs::read(self.dir.join(format::retained_name(&file, s)))?;
-                    return Ok((format::decode_manifest(Bytes::from(raw.clone()))?, raw));
-                }
-                _ if born > e => {
-                    return Err(EngineError::UnknownTable(name.to_string()));
-                }
-                _ => {}
-            }
-        }
-        self.load_manifest(name)
-    }
-
-    /// Raw bytes of one segment as of `pin`, verified (length +
-    /// checksum) against the manifest entry. On a primary failure,
-    /// every on-disk retained copy of the segment file is tried against
-    /// the same entry — checksums make acceptance exact. This is the
-    /// crash-recovery and cross-handle-race fallback that replaced the
-    /// old `.seg.old` backup scheme.
-    fn read_segment_bytes_at(
-        &self,
-        name: &str,
-        safe: &str,
-        seg: &SegmentMeta,
-        pin: Option<u64>,
-    ) -> Result<Vec<u8>> {
-        let file = Self::segment_file(safe, seg.id);
-        let check = |raw: Vec<u8>| -> Result<Vec<u8>> {
-            if raw.len() as u64 != seg.bytes {
-                return Err(EngineError::Corrupt(format!(
-                    "{name}: segment {} is {} bytes, manifest records {}",
-                    seg.id,
-                    raw.len(),
-                    seg.bytes
-                )));
-            }
-            if format::fnv1a64(&raw) != seg.checksum {
-                return Err(EngineError::Corrupt(format!(
-                    "{name}: segment {} fails its checksum",
-                    seg.id
-                )));
-            }
-            Ok(raw)
-        };
-        let primary = match fs::read(self.path_at(&file, pin)) {
-            Ok(raw) => check(raw),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(EngineError::Corrupt(
-                format!("{name}: segment {} missing", seg.id),
-            )),
-            Err(e) => return Err(e.into()),
-        };
-        match primary {
-            Ok(raw) => Ok(raw),
-            Err(err) => self
-                .retained_candidates(&file)
-                .into_iter()
-                .find_map(|path| check(fs::read(path).ok()?).ok())
-                .ok_or(err),
-        }
-    }
-
     /// All on-disk retained copies of `file` — this instance's and any
     /// crashed process's — oldest supersession first.
     fn retained_candidates(&self, file: &str) -> Vec<PathBuf> {
@@ -706,18 +588,6 @@ impl DiskCatalog {
         }
         out.sort();
         out.into_iter().map(|(_, p)| p).collect()
-    }
-
-    /// Reads one segment as of `pin`, verified and decoded.
-    fn read_segment_at(
-        &self,
-        name: &str,
-        safe: &str,
-        seg: &SegmentMeta,
-        pin: Option<u64>,
-    ) -> Result<Table> {
-        let raw = self.read_segment_bytes_at(name, safe, seg, pin)?;
-        Self::verify_segment(name, seg, raw)
     }
 
     /// Removes every segment file of `safe` whose id is not in `keep`
@@ -909,7 +779,7 @@ impl DiskCatalog {
             if manifest.segments.len() == 1 && manifest.segments[0].id == 0 {
                 return Ok(0);
             }
-            let table = self.read_segments(name, &safe, &manifest)?;
+            let table = self.live().read_segments(name, &safe, &manifest)?;
             let written = self.rewrite_locked(name, &safe, &table)?;
             (raw.len() as u64 + manifest.total_bytes(), written)
         };
@@ -932,90 +802,6 @@ impl DiskCatalog {
         Ok(written)
     }
 
-    /// Reads and verifies every segment of `manifest`, concatenated in
-    /// manifest order (live versions; callers hold an `io` lock half).
-    fn read_segments(&self, name: &str, safe: &str, manifest: &Manifest) -> Result<Table> {
-        self.read_segments_at(name, safe, manifest, None)
-    }
-
-    /// Reads and verifies every segment of `manifest` as of `pin`,
-    /// concatenated in manifest order.
-    fn read_segments_at(
-        &self,
-        name: &str,
-        safe: &str,
-        manifest: &Manifest,
-        pin: Option<u64>,
-    ) -> Result<Table> {
-        let mut parts = Vec::with_capacity(manifest.segments.len());
-        for seg in &manifest.segments {
-            parts.push(self.read_segment_at(name, safe, seg, pin)?);
-        }
-        match parts.len() {
-            1 => Ok(parts.pop().expect("one part")),
-            _ => Table::concat(&parts.iter().collect::<Vec<_>>()),
-        }
-    }
-
-    /// Runs `attempt` under the io read lock against the manifest as of
-    /// `pin`. Unpinned attempts that fail verification are retried while
-    /// the live manifest keeps changing under them (a writer on another
-    /// handle), up to the configured retry cap — exhaustion is the typed
-    /// [`EngineError::ReadContention`], while a failing attempt over a
-    /// *stable* manifest is genuine [`EngineError::Corrupt`]. Pinned
-    /// attempts never retry: a pin's files are held on disk for its
-    /// lifetime.
-    fn with_manifest<T>(
-        &self,
-        name: &str,
-        safe: &str,
-        pin: Option<u64>,
-        mut attempt: impl FnMut(&Manifest, &[u8]) -> Result<T>,
-    ) -> Result<T> {
-        let mut attempts = 0u32;
-        loop {
-            let (result, manifest_raw) = {
-                let _io = self.io.read();
-                let (manifest, raw) = self.manifest_at(name, safe, pin)?;
-                let result = attempt(&manifest, &raw);
-                (result, raw)
-            };
-            match result {
-                Ok(v) => return Ok(v),
-                Err(err @ EngineError::Corrupt(_)) if pin.is_none() => {
-                    attempts += 1;
-                    if attempts > self.read_retry_cap {
-                        return Err(EngineError::ReadContention {
-                            table: name.to_string(),
-                            attempts,
-                        });
-                    }
-                    let changed = |raw: &[u8]| {
-                        fs::read(self.manifest_path(safe))
-                            .map(|now| now != raw)
-                            .unwrap_or(true)
-                    };
-                    if changed(&manifest_raw) {
-                        // A cross-handle writer committed: back off
-                        // briefly so a hot writer cannot starve the
-                        // reader, then try the new manifest.
-                        std::thread::sleep(Duration::from_micros(100));
-                        continue;
-                    }
-                    // Possibly mid-commit (segment swapped, manifest not
-                    // yet renamed): give the writer a beat, then decide.
-                    std::thread::sleep(Duration::from_micros(500));
-                    if changed(&manifest_raw) {
-                        continue;
-                    }
-                    // Stable manifest: genuine corruption.
-                    return Err(err);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Loads the table stored under `name`: its segments, verified and
     /// concatenated in manifest order.
     ///
@@ -1029,60 +815,24 @@ impl DiskCatalog {
     /// writer (retry against the new manifest), a stable one means the
     /// corruption is real and surfaces as [`EngineError::Corrupt`].
     pub fn read_table(&self, name: &str) -> Result<Table> {
-        self.read_table_at(name, None)
-    }
-
-    fn read_table_at(&self, name: &str, pin: Option<u64>) -> Result<Table> {
-        let started = Instant::now();
-        let safe = Self::safe_name(name);
-        let (table, total_bytes) = self.with_manifest(name, &safe, pin, |manifest, raw| {
-            let t = self.read_segments_at(name, &safe, manifest, pin)?;
-            Ok((t, raw.len() as u64 + manifest.total_bytes()))
-        })?;
-        if let Some(t) = self.throttle {
-            Pacer::pace(
-                &self.pacer.read_free,
-                started,
-                total_bytes,
-                t.read_bps,
-                t.latency_s,
-            );
-        }
-        Ok(table)
+        self.live().read_table(name)
     }
 
     /// Size in bytes of the stored table (manifest plus all segments), if
     /// present.
     pub fn size_of(&self, name: &str) -> Result<u64> {
-        self.size_of_at(name, None)
-    }
-
-    fn size_of_at(&self, name: &str, pin: Option<u64>) -> Result<u64> {
-        let safe = Self::safe_name(name);
-        self.with_manifest(name, &safe, pin, |m, raw| {
-            Ok(raw.len() as u64 + m.total_bytes())
-        })
+        self.live().size_of(name)
     }
 
     /// Number of committed segments backing `name` (1 = canonical form).
     pub fn segment_count(&self, name: &str) -> Result<usize> {
-        self.segment_count_at(name, None)
-    }
-
-    fn segment_count_at(&self, name: &str, pin: Option<u64>) -> Result<usize> {
-        let safe = Self::safe_name(name);
-        self.with_manifest(name, &safe, pin, |m, _| Ok(m.segments.len()))
+        self.live().segment_count(name)
     }
 
     /// Total stored rows of `name`, from the manifest alone (no segment
     /// reads).
     pub fn row_count(&self, name: &str) -> Result<u64> {
-        self.row_count_at(name, None)
-    }
-
-    fn row_count_at(&self, name: &str, pin: Option<u64>) -> Result<u64> {
-        let safe = Self::safe_name(name);
-        self.with_manifest(name, &safe, pin, |m, _| Ok(m.total_rows()))
+        self.live().row_count(name)
     }
 
     /// The raw stored bytes of every file backing `name` — the manifest
@@ -1094,21 +844,7 @@ impl DiskCatalog {
     /// committed states. This is what the differential suites compare
     /// for the byte-identity-after-compact contract.
     pub fn stored_file_bytes(&self, name: &str) -> Result<Vec<(String, Vec<u8>)>> {
-        self.stored_file_bytes_at(name, None)
-    }
-
-    fn stored_file_bytes_at(&self, name: &str, pin: Option<u64>) -> Result<Vec<(String, Vec<u8>)>> {
-        let safe = Self::safe_name(name);
-        self.with_manifest(name, &safe, pin, |manifest, raw| {
-            let mut out = vec![(Self::manifest_file(&safe), raw.to_vec())];
-            for seg in &manifest.segments {
-                out.push((
-                    Self::segment_file(&safe, seg.id),
-                    self.read_segment_bytes_at(name, &safe, seg, pin)?,
-                ));
-            }
-            Ok(out)
-        })
+        self.live().stored_file_bytes(name)
     }
 
     /// Deletes a stored table — manifest and every segment file, including
@@ -1151,22 +887,117 @@ impl DiskCatalog {
         Ok(())
     }
 
-    /// Names of all stored tables (manifest file stems), sorted.
+    /// Logical names of all stored tables, sorted (see
+    /// [`EpochPin::tables`]).
     pub fn list(&self) -> Result<Vec<String>> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.dir)? {
-            let path = entry?.path();
-            if path.extension().is_some_and(|e| e == "sctb") {
-                if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                    names.push(stem.to_string());
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
+        self.live().tables()
+    }
+}
+
+/// Verifies raw segment bytes against their manifest entry — exact byte
+/// length first, then the FNV-1a checksum — and hands them back. This is
+/// the read path's one byte-integrity check: every segment a read
+/// returns or decodes passes through it exactly once.
+fn verify_segment(name: &str, seg: &SegmentMeta, raw: Vec<u8>) -> Result<Vec<u8>> {
+    if raw.len() as u64 != seg.bytes {
+        return Err(EngineError::Corrupt(format!(
+            "{name}: segment {} is {} bytes, manifest records {}",
+            seg.id,
+            raw.len(),
+            seg.bytes
+        )));
+    }
+    if format::fnv1a64(&raw) != seg.checksum {
+        return Err(EngineError::Corrupt(format!(
+            "{name}: segment {} fails its checksum",
+            seg.id
+        )));
+    }
+    Ok(raw)
+}
+
+/// A read view of a [`DiskCatalog`] pinning its state as of a manifest
+/// epoch (see [`DiskCatalog::pin`]). Every read through it resolves each
+/// table to the file versions committed at pin time — byte for byte, no
+/// matter how many rewrites, appends, compactions, or drops commit
+/// concurrently on the same catalog instance. The files a pin needs are
+/// retained on disk until the last pin that can see them drops (epoch
+/// GC runs on drop).
+///
+/// Pinned reads never retry and never contend with the refresh-run
+/// lock; they serialize only against the short filesystem critical
+/// section of a committing writer.
+///
+/// Every read body lives here once: the catalog's live readers
+/// ([`DiskCatalog::read_table`] and its siblings) run through an
+/// unpinned view, which reads the live files, retries verification
+/// failures under cross-handle writers, and holds no pin.
+#[derive(Debug)]
+pub struct EpochPin<'a> {
+    catalog: &'a DiskCatalog,
+    /// The pinned epoch; `None` for the catalog's unpinned live view.
+    epoch: Option<u64>,
+}
+
+impl EpochPin<'_> {
+    /// The manifest epoch this pin holds.
+    pub fn epoch(&self) -> u64 {
+        self.epoch.unwrap_or_else(|| self.catalog.current_epoch())
     }
 
-    /// Table names visible to a reader pinned at epoch `pin`, sorted.
+    /// Loads the table stored under `name` as of the pinned epoch: its
+    /// segments, verified and concatenated in manifest order. Tables
+    /// created after the pin are [`EngineError::UnknownTable`].
+    pub fn read_table(&self, name: &str) -> Result<Table> {
+        let started = Instant::now();
+        let (table, total_bytes) = self.with_manifest(name, |safe, manifest, raw| {
+            let t = self.read_segments(name, safe, manifest)?;
+            Ok((t, raw.len() as u64 + manifest.total_bytes()))
+        })?;
+        if let Some(t) = self.catalog.throttle {
+            Pacer::pace(
+                &self.catalog.pacer.read_free,
+                started,
+                total_bytes,
+                t.read_bps,
+                t.latency_s,
+            );
+        }
+        Ok(table)
+    }
+
+    /// Size in bytes of the pinned version (manifest plus segments).
+    pub fn size_of(&self, name: &str) -> Result<u64> {
+        self.with_manifest(name, |_, m, raw| Ok(raw.len() as u64 + m.total_bytes()))
+    }
+
+    /// Segment count of the pinned version.
+    pub fn segment_count(&self, name: &str) -> Result<usize> {
+        self.with_manifest(name, |_, m, _| Ok(m.segments.len()))
+    }
+
+    /// Stored rows of the pinned version (manifest only, no segment
+    /// reads).
+    pub fn row_count(&self, name: &str) -> Result<u64> {
+        self.with_manifest(name, |_, m, _| Ok(m.total_rows()))
+    }
+
+    /// Raw stored bytes of the pinned version, keyed by live file name
+    /// (see [`DiskCatalog::stored_file_bytes`]).
+    pub fn stored_file_bytes(&self, name: &str) -> Result<Vec<(String, Vec<u8>)>> {
+        self.with_manifest(name, |safe, manifest, raw| {
+            let mut out = vec![(DiskCatalog::manifest_file(safe), raw.to_vec())];
+            for seg in &manifest.segments {
+                out.push((
+                    DiskCatalog::segment_file(safe, seg.id),
+                    self.segment_bytes(name, safe, seg)?,
+                ));
+            }
+            Ok(out)
+        })
+    }
+
+    /// Logical names of every table visible at the pinned epoch, sorted.
     ///
     /// A table is visible iff a manifest for it was committed at or
     /// before the pinned epoch: tables created after the pin are absent,
@@ -1175,12 +1006,13 @@ impl DiskCatalog {
     /// are the logical names registered on this instance's write paths;
     /// tables only ever written by another process list under their
     /// sanitized file stem (identical for already-path-safe names).
-    fn list_at(&self, pin: u64) -> Result<Vec<String>> {
-        let _io = self.io.read();
+    pub fn tables(&self) -> Result<Vec<String>> {
+        let cat = self.catalog;
+        let _io = cat.io.read();
         // Candidate stems: live manifests plus retained manifest copies
         // (the only trace a post-pin drop leaves behind).
         let mut stems = std::collections::BTreeSet::new();
-        for entry in fs::read_dir(&self.dir)? {
+        for entry in fs::read_dir(&cat.dir)? {
             let path = entry?.path();
             let Some(file) = path.file_name().and_then(|f| f.to_str()) else {
                 continue;
@@ -1193,14 +1025,14 @@ impl DiskCatalog {
                 stems.insert(stem.to_string());
             }
         }
-        let names = self.names.lock().clone();
+        let names = cat.names.lock().clone();
         let mut out = Vec::new();
         for stem in stems {
             let name = names.get(&stem).cloned().unwrap_or_else(|| stem.clone());
-            match self.manifest_at(&name, &stem, Some(pin)) {
+            match self.manifest(&name, &stem) {
                 Ok(_) => out.push(name),
-                // Born after the pin (or a retained copy of a later
-                // incarnation): invisible, not an error.
+                // Absent from this view (dropped, or born after the pin):
+                // invisible, not an error.
                 Err(EngineError::UnknownTable(_)) => {}
                 Err(e) => return Err(e),
             }
@@ -1208,75 +1040,173 @@ impl DiskCatalog {
         out.sort();
         Ok(out)
     }
+
+    /// Executes `plan` with every scan read through this pin, so one
+    /// query never observes two different commits.
+    pub fn query(&self, plan: &LogicalPlan) -> Result<Table> {
+        plan.execute(self)
+    }
+
+    /// The supersede epoch of the oldest retained copy of `file` that a
+    /// pinned reader must read instead of the live file; `None` when the
+    /// live file is the pinned version (always, for the unpinned view).
+    fn superseding(&self, file: &str) -> Option<u64> {
+        let e = self.epoch?;
+        let retained = self.catalog.retained.lock();
+        let epochs = retained.iter().filter(|r| r.file == file && r.epoch > e);
+        epochs.map(|r| r.epoch).min()
+    }
+
+    /// The on-disk path serving `file` to this view.
+    fn path(&self, file: &str) -> PathBuf {
+        match self.superseding(file) {
+            Some(s) => self.catalog.dir.join(format::retained_name(file, s)),
+            None => self.catalog.dir.join(file),
+        }
+    }
+
+    /// Loads `name`'s manifest as this view sees it, with its raw bytes:
+    /// the oldest retained manifest copy superseding the pin, else the
+    /// live manifest — unless the table was created after the pin, which
+    /// must stay invisible ([`EngineError::UnknownTable`]).
+    fn manifest(&self, name: &str, safe: &str) -> Result<(Manifest, Vec<u8>)> {
+        if let Some(e) = self.epoch {
+            let file = DiskCatalog::manifest_file(safe);
+            let born = self.catalog.born.lock().get(safe).copied().unwrap_or(0);
+            match self.superseding(&file) {
+                // A retained copy from *before* the table's (re)creation
+                // belongs to the incarnation the pin saw; one from after
+                // it holds post-pin state and must not resurface.
+                Some(s) if born <= e || s <= born => {
+                    let raw = fs::read(self.catalog.dir.join(format::retained_name(&file, s)))?;
+                    return Ok((format::decode_manifest(Bytes::from(raw.clone()))?, raw));
+                }
+                _ if born > e => return Err(EngineError::UnknownTable(name.to_string())),
+                _ => {}
+            }
+        }
+        self.catalog.load_manifest(name)
+    }
+
+    /// Raw bytes of one segment as this view sees it, passed through
+    /// [`verify_segment`]. On a primary failure, every on-disk retained
+    /// copy of the segment file is tried against the same entry —
+    /// checksums make acceptance exact. This is the crash-recovery and
+    /// cross-handle-race fallback.
+    fn segment_bytes(&self, name: &str, safe: &str, seg: &SegmentMeta) -> Result<Vec<u8>> {
+        let file = DiskCatalog::segment_file(safe, seg.id);
+        let primary = match fs::read(self.path(&file)) {
+            Ok(raw) => verify_segment(name, seg, raw),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(EngineError::Corrupt(
+                format!("{name}: segment {} missing", seg.id),
+            )),
+            Err(e) => return Err(e.into()),
+        };
+        primary.or_else(|err| {
+            self.catalog
+                .retained_candidates(&file)
+                .into_iter()
+                .find_map(|path| verify_segment(name, seg, fs::read(path).ok()?).ok())
+                .ok_or(err)
+        })
+    }
+
+    /// Reads every segment of `manifest` — verified, decoded, and held to
+    /// its manifest row count — concatenated in manifest order. Takes no
+    /// lock: callers hold a half of the catalog's io lock.
+    fn read_segments(&self, name: &str, safe: &str, manifest: &Manifest) -> Result<Table> {
+        let mut parts = Vec::with_capacity(manifest.segments.len());
+        for seg in &manifest.segments {
+            let table = format::decode(Bytes::from(self.segment_bytes(name, safe, seg)?))?;
+            if table.num_rows() as u64 != seg.rows {
+                // Catches manifest corruption the byte checks cannot (the
+                // rows field is metadata, not part of the segment payload).
+                return Err(EngineError::Corrupt(format!(
+                    "{name}: segment {} holds {} rows, manifest records {}",
+                    seg.id,
+                    table.num_rows(),
+                    seg.rows
+                )));
+            }
+            parts.push(table);
+        }
+        match parts.len() {
+            1 => Ok(parts.pop().expect("one part")),
+            _ => Table::concat(&parts.iter().collect::<Vec<_>>()),
+        }
+    }
+
+    /// Runs `attempt` (given the table's file stem, its manifest and the
+    /// raw manifest bytes) under the io read lock against the manifest
+    /// this view sees. Unpinned attempts that fail verification are
+    /// retried while the live manifest keeps changing under them (a
+    /// writer on another handle), up to the configured retry cap —
+    /// exhaustion is the typed [`EngineError::ReadContention`], while a
+    /// failing attempt over a *stable* manifest is genuine
+    /// [`EngineError::Corrupt`]. Pinned attempts never retry: a pin's
+    /// files are held on disk for its lifetime.
+    fn with_manifest<T>(
+        &self,
+        name: &str,
+        mut attempt: impl FnMut(&str, &Manifest, &[u8]) -> Result<T>,
+    ) -> Result<T> {
+        let cat = self.catalog;
+        let safe = DiskCatalog::safe_name(name);
+        let mut attempts = 0u32;
+        loop {
+            let (result, manifest_raw) = {
+                let _io = cat.io.read();
+                let (manifest, raw) = self.manifest(name, &safe)?;
+                (attempt(&safe, &manifest, &raw), raw)
+            };
+            match result {
+                Ok(v) => return Ok(v),
+                Err(err @ EngineError::Corrupt(_)) if self.epoch.is_none() => {
+                    attempts += 1;
+                    if attempts > cat.read_retry_cap {
+                        return Err(EngineError::ReadContention {
+                            table: name.to_string(),
+                            attempts,
+                        });
+                    }
+                    let changed = |raw: &[u8]| {
+                        fs::read(cat.manifest_path(&safe))
+                            .map(|now| now != raw)
+                            .unwrap_or(true)
+                    };
+                    if changed(&manifest_raw) {
+                        // A cross-handle writer committed: back off
+                        // briefly so a hot writer cannot starve the
+                        // reader, then try the new manifest.
+                        std::thread::sleep(Duration::from_micros(100));
+                        continue;
+                    }
+                    // Possibly mid-commit (segment swapped, manifest not
+                    // yet renamed): give the writer a beat, then decide.
+                    std::thread::sleep(Duration::from_micros(500));
+                    if changed(&manifest_raw) {
+                        continue;
+                    }
+                    // Stable manifest: genuine corruption.
+                    return Err(err);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
 }
 
-/// A reader handle pinning the catalog's state as of a manifest epoch
-/// (see [`DiskCatalog::pin`]). Every read through it resolves each
-/// table to the file versions committed at pin time — byte for byte,
-/// no matter how many rewrites, appends, compactions, or drops commit
-/// concurrently on the same catalog instance. The files a pin needs
-/// are retained on disk until the last pin that can see them drops
-/// (epoch GC runs on drop).
-///
-/// Pinned reads never retry and never contend with the refresh-run
-/// lock; they serialize only against the short filesystem critical
-/// section of a committing writer.
-#[derive(Debug)]
-pub struct EpochPin<'a> {
-    catalog: &'a DiskCatalog,
-    epoch: u64,
-}
-
-impl EpochPin<'_> {
-    /// The manifest epoch this pin holds.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The catalog this pin reads from.
-    pub fn catalog(&self) -> &DiskCatalog {
-        self.catalog
-    }
-
-    /// Loads the table stored under `name` as of the pinned epoch.
-    /// Tables created after the pin are [`EngineError::UnknownTable`].
-    pub fn read_table(&self, name: &str) -> Result<Table> {
-        self.catalog.read_table_at(name, Some(self.epoch))
-    }
-
-    /// Size in bytes of the pinned version (manifest plus segments).
-    pub fn size_of(&self, name: &str) -> Result<u64> {
-        self.catalog.size_of_at(name, Some(self.epoch))
-    }
-
-    /// Segment count of the pinned version.
-    pub fn segment_count(&self, name: &str) -> Result<usize> {
-        self.catalog.segment_count_at(name, Some(self.epoch))
-    }
-
-    /// Stored rows of the pinned version (manifest only, no segment
-    /// reads).
-    pub fn row_count(&self, name: &str) -> Result<u64> {
-        self.catalog.row_count_at(name, Some(self.epoch))
-    }
-
-    /// Raw stored bytes of the pinned version, keyed by live file name
-    /// (see [`DiskCatalog::stored_file_bytes`]).
-    pub fn stored_file_bytes(&self, name: &str) -> Result<Vec<(String, Vec<u8>)>> {
-        self.catalog.stored_file_bytes_at(name, Some(self.epoch))
-    }
-
-    /// Logical names of every table visible at the pinned epoch, sorted.
-    /// Tables created after the pin are absent; tables dropped after the
-    /// pin are still listed because their pinned version stays readable.
-    pub fn tables(&self) -> Result<Vec<String>> {
-        self.catalog.list_at(self.epoch)
+impl TableSource for EpochPin<'_> {
+    fn table(&self, name: &str) -> Result<Arc<Table>> {
+        self.read_table(name).map(Arc::new)
     }
 }
 
 impl Drop for EpochPin<'_> {
     fn drop(&mut self) {
-        self.catalog.unpin(self.epoch);
+        if let Some(epoch) = self.epoch {
+            self.catalog.unpin(epoch);
+        }
     }
 }
 
@@ -1677,6 +1607,23 @@ mod tests {
         let pin = cat.pin();
         assert_eq!(pin.tables().unwrap(), vec!["enriched.sales"]);
         assert_eq!(pin.read_table("enriched.sales").unwrap(), sample(0..3));
+    }
+
+    #[test]
+    fn live_and_pinned_listings_agree_on_logical_names() {
+        let dir = tempfile::tempdir().unwrap();
+        let cat = DiskCatalog::open(dir.path()).unwrap();
+        cat.write_table("sales.v2", &sample(0..3)).unwrap();
+        let want = vec!["sales.v2".to_string()];
+        assert_eq!(cat.list().unwrap(), want);
+        assert_eq!(cat.pin().tables().unwrap(), want);
+        // A drop with a pin live leaves only a retained manifest copy:
+        // the pin still lists the table, the live listing does not.
+        cat.write_table("gone", &sample(0..1)).unwrap();
+        let pin = cat.pin();
+        cat.drop_table("gone").unwrap();
+        assert_eq!(pin.tables().unwrap(), vec!["gone", "sales.v2"]);
+        assert_eq!(cat.list().unwrap(), want);
     }
 
     #[test]

@@ -26,8 +26,9 @@
 //! referenced by the manifest is invisible (see
 //! [`crate::storage::DiskCatalog`] for the append/commit/compact
 //! protocol), and every referenced segment is verified against its
-//! recorded byte length and FNV-1a checksum at read time, so torn or
-//! truncated segment files are rejected instead of silently read.
+//! recorded byte length and FNV-1a checksum at read time — once per
+//! segment per read — so torn or truncated segment files are rejected
+//! instead of silently read.
 
 use std::sync::Arc;
 

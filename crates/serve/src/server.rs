@@ -23,9 +23,9 @@
 //! execution-slot luck does not.
 //!
 //! Every `ReadTable`/`Query`/`Stats` request executes against **one**
-//! [`sc::ScSnapshot`] pin taken at dispatch and dropped when the response
-//! is built, so a multi-frame table response is epoch-consistent by
-//! construction, and graceful shutdown — which drains in-flight requests
+//! [`ScSession::snapshot`] pin taken at dispatch and dropped when the
+//! response is built, so a multi-frame table response is epoch-consistent
+//! by construction, and graceful shutdown — which drains in-flight requests
 //! and joins every thread — provably leaves no pins behind (epoch GC then
 //! reclaims every retained file). The exception that proves the rule:
 //! a [`SnapshotCache`] hit takes **no pin at all**. The cached frames
@@ -670,7 +670,10 @@ fn serve_connection(
     let _ = reader.join();
 }
 
-fn engine_error(err: ScError) -> WireError {
+/// Maps a session error — or an engine error from a snapshot read,
+/// wrapped as [`ScError::Engine`] — to its wire frame.
+fn engine_error(err: impl Into<ScError>) -> WireError {
+    let err = err.into();
     let kind = match &err {
         ScError::Engine(e) => e.kind().to_string(),
         ScError::Opt(_) => "opt".into(),

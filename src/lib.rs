@@ -93,7 +93,7 @@ mod report;
 mod system;
 
 pub use report::RefreshReport;
-pub use system::{ScError, ScSession, ScSessionBuilder, ScSnapshot};
+pub use system::{ScError, ScSession, ScSessionBuilder};
 
 /// Commonly used items across the workspace.
 pub mod prelude {
@@ -106,5 +106,5 @@ pub mod prelude {
         ChurnRound, DatasetSpec, GeneratorParams, PaperWorkload, ScenarioSpec, SynthGenerator,
     };
 
-    pub use crate::{RefreshReport, ScSession, ScSessionBuilder, ScSnapshot};
+    pub use crate::{RefreshReport, ScSession, ScSessionBuilder};
 }

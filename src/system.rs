@@ -19,7 +19,6 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -29,12 +28,11 @@ use sc_engine::controller::{
     Controller, ControllerConfig, MvDefinition, RefreshConfig, RunMetrics,
 };
 use sc_engine::exec::TableDelta;
-use sc_engine::plan::{LogicalPlan, TableSource};
 use sc_engine::storage::{
     self, DeltaStore, DiskCatalog, EpochPin, MemoryCatalog, ObservationStore, Throttle,
     SIDECAR_FILE,
 };
-use sc_engine::{EngineError, Table};
+use sc_engine::EngineError;
 use sc_workload::engine_mvs::problem_from_metrics;
 use sc_workload::ScenarioSpec;
 
@@ -573,9 +571,12 @@ impl ScSession {
         }
     }
 
-    /// Pins the current committed storage epoch and returns a consistent
-    /// read view over every stored table (base tables and materialized
-    /// MVs alike).
+    /// Pins the current committed storage epoch and returns the storage
+    /// catalog's read view at it ([`DiskCatalog::pin`]): a consistent
+    /// view over every stored table, base tables and materialized MVs
+    /// alike. Its `query` runs an ad-hoc [`LogicalPlan`] with every scan
+    /// at the pinned epoch (the serving path), so a refresh committing
+    /// mid-query can never show it a mix of old and new MV versions.
     ///
     /// The snapshot is **lock-free with respect to maintenance**: while
     /// it is held, [`ScSession::refresh`], [`ScSession::ingest_delta`],
@@ -585,21 +586,13 @@ impl ScSession {
     /// until the last snapshot pinning them drops, then epoch GC reclaims
     /// them (see `DiskCatalog`'s module docs).
     ///
-    /// Tables created after the pin are invisible; tables dropped after
-    /// the pin remain readable.
-    pub fn snapshot(&self) -> ScSnapshot<'_> {
-        ScSnapshot {
-            pin: self.disk.pin(),
-        }
-    }
-
-    /// Executes an ad-hoc [`LogicalPlan`] against a snapshot of the
-    /// current committed state — the serving path. Equivalent to
-    /// `self.snapshot().query(plan)`: the whole query reads one pinned
-    /// epoch, so a refresh committing mid-execution can never show it a
-    /// mix of old and new MV versions.
-    pub fn query(&self, plan: &LogicalPlan) -> Result<Table> {
-        self.snapshot().query(plan)
+    /// Tables created after the pin are invisible
+    /// ([`EngineError::UnknownTable`], even if they exist *now*); tables
+    /// dropped after the pin remain readable.
+    ///
+    /// [`LogicalPlan`]: sc_engine::plan::LogicalPlan
+    pub fn snapshot(&self) -> EpochPin<'_> {
+        self.disk.pin()
     }
 
     /// Whether a managed plan is currently cached (false right after
@@ -645,75 +638,6 @@ impl ScSession {
                     (obs as f64) < lo || (obs as f64) > hi
                 }
             })
-    }
-}
-
-/// A consistent read view returned by [`ScSession::snapshot`]: every read
-/// resolves against the manifest epoch that was committed when the
-/// snapshot was taken, byte-identically, no matter how many refreshes,
-/// ingests, or compactions commit while it is held.
-///
-/// Dropping the snapshot releases its epoch pin; once the oldest pin
-/// drops, epoch GC deletes the superseded files it was holding alive.
-pub struct ScSnapshot<'a> {
-    pin: EpochPin<'a>,
-}
-
-/// Adapter giving [`LogicalPlan::execute`] pinned-epoch scans.
-struct SnapshotSource<'p, 'a>(&'p EpochPin<'a>);
-
-impl TableSource for SnapshotSource<'_, '_> {
-    fn table(&self, name: &str) -> sc_engine::Result<Arc<Table>> {
-        self.0.read_table(name).map(Arc::new)
-    }
-}
-
-impl ScSnapshot<'_> {
-    /// The manifest epoch this snapshot reads at.
-    pub fn epoch(&self) -> u64 {
-        self.pin.epoch()
-    }
-
-    /// Reads the version of `name` committed at pin time.
-    /// [`ScError::Engine`]`(`[`EngineError::UnknownTable`]`)` if the
-    /// table did not exist then (even if it exists *now*).
-    pub fn read_table(&self, name: &str) -> Result<Table> {
-        Ok(self.pin.read_table(name)?)
-    }
-
-    /// Stored size (manifest + segments) of `name` at pin time, bytes.
-    pub fn size_of(&self, name: &str) -> Result<u64> {
-        Ok(self.pin.size_of(name)?)
-    }
-
-    /// Row count of `name` at pin time, without decoding segment data.
-    pub fn row_count(&self, name: &str) -> Result<u64> {
-        Ok(self.pin.row_count(name)?)
-    }
-
-    /// Number of stored segments backing `name` at pin time.
-    pub fn segment_count(&self, name: &str) -> Result<usize> {
-        Ok(self.pin.segment_count(name)?)
-    }
-
-    /// The verified stored bytes of `name` at pin time, keyed by live
-    /// file name (manifest first, then segments in manifest order).
-    pub fn stored_file_bytes(&self, name: &str) -> Result<Vec<(String, Vec<u8>)>> {
-        Ok(self.pin.stored_file_bytes(name)?)
-    }
-
-    /// Executes an ad-hoc [`LogicalPlan`] whose scans all resolve at this
-    /// snapshot's epoch — one query never observes two different commits.
-    pub fn query(&self, plan: &LogicalPlan) -> Result<Table> {
-        Ok(plan.execute(&SnapshotSource(&self.pin))?)
-    }
-
-    /// Logical names of every table visible at this snapshot's epoch,
-    /// sorted. Tables registered after the pin are absent; tables
-    /// dropped after the pin are still listed (their pinned version
-    /// stays readable).
-    pub fn tables(&self) -> Result<Vec<String>> {
-        Ok(self.pin.tables()?)
     }
 }
 
@@ -860,7 +784,7 @@ mod tests {
         let plan = sc_engine::plan::LogicalPlan::scan("rev_by_category");
         assert_eq!(snap.query(&plan).unwrap(), before);
         assert_eq!(
-            sys.query(&plan).unwrap(),
+            sys.snapshot().query(&plan).unwrap(),
             fresh.read_table("rev_by_category").unwrap()
         );
         drop((snap, fresh));

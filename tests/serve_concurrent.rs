@@ -480,6 +480,6 @@ fn stats_over_the_wire_reports_epoch_tables_and_counters() {
     let plan = sc_engine::plan::LogicalPlan::scan("rev_by_category");
     let (epoch, served) = client.query(&plan).unwrap();
     assert_eq!(epoch, stats.epoch);
-    assert_eq!(served, session.query(&plan).unwrap());
+    assert_eq!(served, session.snapshot().query(&plan).unwrap());
     server.shutdown();
 }

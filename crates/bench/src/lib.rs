@@ -103,6 +103,72 @@ mod tests {
         assert!(r.speedup() > 1.0);
     }
 
+    /// Pins the paper's Figure 9 grid: per workload, the unoptimized and
+    /// S/C totals (simulated seconds) and the S/C peak catalog bytes. No
+    /// S/C plan falls back, every run starts nodes in plan order, and more
+    /// lanes never raise the S/C peak.
+    #[test]
+    fn fig09_grid_is_pinned() {
+        let grid = [
+            (
+                DatasetSpec::tpcds(100.0),
+                1.6,
+                [
+                    (89.382868713, 54.181606860, 1_567_543_486),
+                    (78.742190591, 53.046507876, 1_501_150_810),
+                    (205.140910767, 166.282097026, 1_525_969_237),
+                    (87.572982466, 84.853350710, 185_371_846),
+                    (120.652226202, 103.439546179, 1_192_706_877),
+                ],
+            ),
+            (
+                DatasetSpec::tpcds_partitioned(100.0),
+                0.8,
+                [
+                    (27.326543221, 12.535443715, 788_819_867),
+                    (25.304077674, 13.268003636, 798_808_038),
+                    (56.974082596, 39.938296920, 763_232_591),
+                    (16.991944291, 15.899366620, 74_148_735),
+                    (25.855877087, 16.947192695, 477_082_750),
+                ],
+            ),
+        ];
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want;
+        for (dataset, mem_pct, cells) in grid {
+            let config = SimConfig::paper(dataset.memory_budget(mem_pct));
+            let sim = Simulator::new(config.clone());
+            for (w, (base_s, sc_s, sc_peak)) in PaperWorkload::all().iter().zip(cells) {
+                let cell = format!("{} / {}", dataset.label(), w.name());
+                let built = w.build(&dataset);
+                let base = sim.run_unoptimized(&built).expect("runs");
+                let plan = sc_plan(&built, &config);
+                let sc = sim.run(&built, &plan).expect("runs");
+                assert!(close(base.total_s, base_s), "{cell}: {}", base.total_s);
+                assert!(close(sc.total_s, sc_s), "{cell}: {}", sc.total_s);
+                assert_eq!(sc.peak_memory_bytes, sc_peak, "{cell}");
+                assert_eq!(sc.fallbacks(), 0, "{cell}");
+                for report in [&base, &sc] {
+                    assert!(
+                        report
+                            .nodes
+                            .windows(2)
+                            .all(|n| n[0].start_s <= n[1].start_s),
+                        "{cell}: a node started before an earlier plan position"
+                    );
+                }
+                // More lanes keep the one-lane admissions and never hold
+                // more in the catalog.
+                for lanes in [2, 4] {
+                    let wide = Simulator::new(config.clone().with_lanes(lanes))
+                        .run(&built, &plan)
+                        .expect("runs");
+                    assert!(wide.peak_memory_bytes <= sc_peak, "{cell} @ {lanes}");
+                    assert_eq!(wide.fallbacks(), 0, "{cell} @ {lanes}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn ablation_grid_shape() {
         let methods = ablation_methods();

@@ -441,6 +441,7 @@ impl DiskCatalog {
     /// never silently dropped.
     fn gc_retained_locked(&self, table: Option<&str>) {
         let horizon = self.min_pin();
+        let mut reclaimed = Vec::new();
         {
             let mut retained = self.retained.lock();
             retained.retain(|r| {
@@ -448,8 +449,20 @@ impl DiskCatalog {
                     return true;
                 }
                 self.remove_counted(&self.dir.join(format::retained_name(&r.file, r.epoch)));
+                reclaimed.push(r.file.clone());
                 false
             });
+            // A table dropped under a pin keeps its stem's name claim
+            // while a pin can still list it; the claim goes with the
+            // last retained copy of its manifest.
+            reclaimed.retain(|file| !retained.iter().any(|r| &r.file == file));
+        }
+        for file in reclaimed {
+            if let Some(safe) = file.strip_suffix(".sctb") {
+                if !self.manifest_path(safe).exists() {
+                    self.names.lock().remove(safe);
+                }
+            }
         }
         // Tell the retention observer (if any) how far reclamation has
         // advanced, so external caches keyed by epoch evict in lockstep
@@ -852,7 +865,8 @@ impl DiskCatalog {
     /// version moves to the retained namespace instead, so pinned
     /// readers keep seeing it until the last pin drops; the live
     /// namespace is empty either way. Dropping releases the name's stem
-    /// claim for reuse.
+    /// claim for reuse once no pin can still list the table (at once
+    /// when nothing is pinned).
     pub fn drop_table(&self, name: &str) -> Result<()> {
         let safe = Self::safe_name(name);
         let _io = self.io.write();
@@ -876,7 +890,10 @@ impl DiskCatalog {
             }
             Err(e) => return Err(e),
         }
-        {
+        // While a retained copy of the manifest can still be listed
+        // through a pin, the claim stays; epoch GC releases it.
+        let manifest = Self::manifest_file(&safe);
+        if !self.retained.lock().iter().any(|r| r.file == manifest) {
             let mut names = self.names.lock();
             if names.get(&safe).is_some_and(|o| o == name) {
                 names.remove(&safe);
@@ -1618,12 +1635,25 @@ mod tests {
         assert_eq!(cat.list().unwrap(), want);
         assert_eq!(cat.pin().tables().unwrap(), want);
         // A drop with a pin live leaves only a retained manifest copy:
-        // the pin still lists the table, the live listing does not.
+        // the pin still lists the table, the live listing does not. A
+        // dotted name keeps its stem's claim while the pin can list it,
+        // even across a repeated drop.
         cat.write_table("gone", &sample(0..1)).unwrap();
+        cat.write_table("gone.v1", &sample(0..1)).unwrap();
         let pin = cat.pin();
         cat.drop_table("gone").unwrap();
-        assert_eq!(pin.tables().unwrap(), vec!["gone", "sales.v2"]);
+        cat.drop_table("gone.v1").unwrap();
+        cat.drop_table("gone.v1").unwrap();
+        assert_eq!(pin.tables().unwrap(), vec!["gone", "gone.v1", "sales.v2"]);
         assert_eq!(cat.list().unwrap(), want);
+        assert!(matches!(
+            cat.write_table("gone_v1", &sample(0..2)),
+            Err(EngineError::NameCollision { .. })
+        ));
+        // Epoch GC reclaims the last retained copy: the stem is free.
+        drop(pin);
+        cat.write_table("gone_v1", &sample(0..2)).unwrap();
+        assert_eq!(cat.list().unwrap(), vec!["gone_v1", "sales.v2"]);
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! (§VI-A: 519.8 MB/s disk read, 358.9 MB/s write, 175 µs latency), it
 //! simulates the exact controller semantics of `sc-engine`:
 //!
-//! * one compute lane executing nodes in plan order (the paper issues MV
-//!   statements sequentially), or — with [`SimConfig::with_lanes`] — a
-//!   discrete-event mirror of the engine's multi-lane executor;
+//! * one discrete-event model of the engine's refresh executor: at one
+//!   lane it executes nodes in exactly plan order (the paper issues MV
+//!   statements sequentially); [`SimConfig::with_lanes`] adds lanes;
 //! * a storage write channel shared by blocking and background
 //!   materializations (FIFO, bandwidth-limited);
 //! * flagged nodes created in memory, materialized in the background, and

@@ -34,11 +34,11 @@ pub struct SimConfig {
     /// Relative compute slowdown from shrinking DBMS query memory to make
     /// room for the Memory Catalog (0.0 when using spare memory).
     pub compute_penalty: f64,
-    /// Number of compute lanes executing DAG nodes concurrently. `1` is
-    /// the paper's sequential controller; larger values mirror the
-    /// engine's multi-lane executor (nodes start as soon as all
-    /// dependencies are readable and a lane is free, flag admission
-    /// follows plan order).
+    /// Number of compute lanes executing DAG nodes concurrently, as in
+    /// the engine's refresh executor: nodes start as soon as all
+    /// dependencies are readable and a lane is free, and flag admission
+    /// follows plan order. At `1` nodes run in exactly plan order, the
+    /// paper's sequential controller.
     pub lanes: usize,
     /// Multi-lane run-ahead window override; `None` derives it from the
     /// lane count via [`sc_core::run_ahead_window`] (mirrors
@@ -171,7 +171,8 @@ struct SimDeltaPlan {
     flagged: FlagSet,
 }
 
-/// Deterministic single-lane refresh-run simulator.
+/// Deterministic discrete-event refresh-run simulator: one model of the
+/// engine's refresh executor at every lane count (see [`Simulator::run`]).
 #[derive(Debug, Clone)]
 pub struct Simulator {
     config: SimConfig,
@@ -188,28 +189,11 @@ impl Simulator {
         &self.config
     }
 
-    /// Simulates the sequential, nothing-flagged baseline ("No
-    /// optimization" in Figure 9) using a deterministic topological order.
+    /// Simulates the nothing-flagged baseline ("No optimization" in
+    /// Figure 9) using a deterministic topological order.
     pub fn run_unoptimized(&self, workload: &SimWorkload) -> Result<SimReport> {
         let order = workload.graph.kahn_order();
         self.run(workload, &Plan::unoptimized(order))
-    }
-
-    /// Simulates a refresh run under `plan`, reproducing the engine
-    /// controller's semantics (background materialization, release on
-    /// last-consumer + write-done, fallback under memory pressure,
-    /// full-vs-incremental maintenance per node). With `config.lanes > 1`
-    /// the run mirrors the engine's multi-lane executor instead of the
-    /// paper's sequential one.
-    pub fn run(&self, workload: &SimWorkload, plan: &Plan) -> Result<SimReport> {
-        workload.graph.validate_order(&plan.order)?;
-        let pos = workload.graph.order_positions(&plan.order)?;
-        let dp = self.plan_deltas(workload, plan);
-        if self.config.lanes <= 1 {
-            self.run_single_lane(workload, plan, &pos, &dp)
-        } else {
-            self.run_multi_lane(workload, plan, &pos, &dp)
-        }
     }
 
     /// Fixes every node's maintenance mode before the run — the same
@@ -346,255 +330,27 @@ impl Simulator {
         }
     }
 
-    /// The paper's sequential controller: one compute lane walking
-    /// `plan.order`, one shared storage write channel.
-    fn run_single_lane(
-        &self,
-        workload: &SimWorkload,
-        plan: &Plan,
-        pos: &[usize],
-        dp: &SimDeltaPlan,
-    ) -> Result<SimReport> {
-        let graph = &workload.graph;
-        let n = graph.len();
-        let cfg = &self.config;
-
-        let mut resident = vec![false; n]; // currently in Memory Catalog
-        let mut write_done = vec![f64::INFINITY; n];
-        let mut mem_used: u64 = 0;
-        let mut peak_mem: u64 = 0;
-        let mut writer_free_at = 0.0f64;
-        let mut now = 0.0f64;
-        let mut timelines = Vec::with_capacity(n);
-
-        // Release every resident node whose consumers have all executed
-        // (position < p). Per §III-C the entry is freed as soon as its
-        // dependents complete; the in-flight background write holds its own
-        // reference, so the catalog budget is released immediately.
-        let release_pass = |resident: &mut Vec<bool>,
-                            mem_used: &mut u64,
-                            _write_done: &[f64],
-                            p: usize,
-                            _time: f64| {
-            for u in graph.node_ids() {
-                if resident[u.index()] && graph.children(u).iter().all(|c| pos[c.index()] < p) {
-                    resident[u.index()] = false;
-                    *mem_used -= dp.payload[u.index()];
-                }
-            }
-        };
-
-        for (p, &v) in plan.order.iter().enumerate() {
-            let node = graph.node(v);
-            let i = v.index();
-
-            if dp.modes[i] == NodeMode::Skipped {
-                // Stored contents already current: no statement is even
-                // issued. The node still counts as an executed consumer
-                // (later release passes see its position as done).
-                timelines.push(NodeTimeline {
-                    name: node.name.clone(),
-                    mode: NodeMode::Skipped,
-                    start_s: now,
-                    read_s: 0.0,
-                    disk_read_s: 0.0,
-                    compute_s: 0.0,
-                    write_s: 0.0,
-                    available_s: now,
-                    persisted_s: now,
-                    flagged: false,
-                    fell_back: false,
-                });
-                continue;
-            }
-
-            now += cfg.per_node_overhead_s;
-            let start = now;
-            release_pass(&mut resident, &mut mem_used, &write_done, p, now);
-
-            let incremental = dp.modes[i] == NodeMode::Incremental;
-            let delta_bytes = node.delta_bytes.unwrap_or(0);
-            let mut read_s = 0.0;
-            let mut disk_read_s = 0.0;
-            let compute_s = if incremental {
-                // Re-read own stored contents to apply the delta — unless
-                // the append path skips straight to a delta-sized segment.
-                if !dp.append[i] {
-                    let t = cfg.disk_read_time(node.output_bytes);
-                    read_s += t;
-                    disk_read_s += t;
-                }
-                // Static build sides of a join spine: the propagated delta
-                // probes them, so the incremental path reads them in full.
-                if node.build_read_bytes > 0 {
-                    let t = cfg.disk_read_time(node.build_read_bytes);
-                    read_s += t;
-                    disk_read_s += t;
-                }
-                // Parent deltas: from the catalog when resident as a delta
-                // payload, from their spilled file otherwise. (The pending
-                // base-table delta itself is an in-memory log: free.)
-                for &parent in graph.parents(v) {
-                    let pi = parent.index();
-                    match dp.modes[pi] {
-                        NodeMode::Skipped => {}
-                        _ => {
-                            let bytes = graph.node(parent).delta_bytes.unwrap_or(0);
-                            if resident[pi] && dp.delta_payload[pi] {
-                                read_s += cfg.mem_time(bytes);
-                            } else {
-                                let t = cfg.disk_read_time(bytes);
-                                read_s += t;
-                                disk_read_s += t;
-                            }
-                        }
-                    }
-                }
-                // Operator work scales with the delta fraction.
-                let frac = (delta_bytes as f64 / (node.output_bytes.max(1)) as f64).min(1.0);
-                cfg.compute_time(node.compute_s) * frac
-            } else {
-                // Full recompute: base tables always from storage; parent
-                // outputs from memory when resident.
-                if node.base_read_bytes > 0 {
-                    let t = cfg.disk_read_time(node.base_read_bytes);
-                    read_s += t;
-                    disk_read_s += t;
-                }
-                for &parent in graph.parents(v) {
-                    let bytes = graph.node(parent).output_bytes;
-                    if resident[parent.index()] {
-                        read_s += cfg.mem_time(bytes);
-                    } else {
-                        let t = cfg.disk_read_time(bytes);
-                        read_s += t;
-                        disk_read_s += t;
-                    }
-                }
-                cfg.compute_time(node.compute_s)
-            };
-
-            let mut available = start + read_s + compute_s;
-            let mut write_s = 0.0;
-
-            // Spill the published delta for consumers that read it from
-            // storage: a blocking, delta-sized write on the shared channel.
-            if dp.spill[i] {
-                let wstart = available.max(writer_free_at);
-                let done = wstart + cfg.disk_write_time(delta_bytes);
-                writer_free_at = done;
-                write_s += done - available;
-                available = done;
-            }
-
-            let flagged = dp.flagged.contains(v);
-            let mut fell_back = false;
-            let persisted;
-
-            // A childless flagged node has no consumers: it is created in
-            // memory only to background its write and never occupies the
-            // catalog (it is outside every Vi in the optimizer's model).
-            let occupies = graph.out_degree(v) > 0;
-            if flagged {
-                release_pass(&mut resident, &mut mem_used, &write_done, p, available);
-                if !occupies {
-                    available += cfg.mem_time(dp.write_bytes[i]);
-                    let wstart = available.max(writer_free_at);
-                    let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                    write_done[i] = done;
-                    writer_free_at = done;
-                    persisted = done;
-                    now = available;
-                } else if mem_used + dp.payload[i] <= cfg.memory_budget {
-                    // Creating the payload in memory costs one memory
-                    // write (delta-sized for delta payloads).
-                    available += cfg.mem_time(dp.payload[i]);
-                    resident[i] = true;
-                    mem_used += dp.payload[i];
-                    peak_mem = peak_mem.max(mem_used);
-                    let wstart = available.max(writer_free_at);
-                    let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                    write_done[i] = done;
-                    writer_free_at = done;
-                    persisted = done;
-                    now = available;
-                } else if cfg.fallback_on_memory_pressure {
-                    // Memory pressure: blocking write instead. A fallen-
-                    // back delta payload must reach storage too.
-                    fell_back = true;
-                    let spill_s = if dp.delta_payload[i] {
-                        cfg.disk_write_time(delta_bytes)
-                    } else {
-                        0.0
-                    };
-                    let wstart = available.max(writer_free_at);
-                    let done = wstart + spill_s + cfg.disk_write_time(dp.write_bytes[i]);
-                    writer_free_at = done;
-                    write_done[i] = done;
-                    write_s += done - available;
-                    persisted = done;
-                    now = done;
-                } else {
-                    return Err(SimError::MemoryBudgetExceeded {
-                        requested: dp.payload[i],
-                        used: mem_used,
-                        budget: cfg.memory_budget,
-                    });
-                }
-            } else {
-                let wstart = available.max(writer_free_at);
-                let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                writer_free_at = done;
-                write_done[i] = done;
-                write_s += done - available;
-                persisted = done;
-                now = done;
-            }
-
-            timelines.push(NodeTimeline {
-                name: node.name.clone(),
-                mode: dp.modes[i],
-                start_s: start,
-                read_s,
-                disk_read_s,
-                compute_s,
-                write_s,
-                available_s: available,
-                persisted_s: persisted,
-                flagged: flagged && !fell_back,
-                fell_back,
-            });
-        }
-
-        let total_s = now.max(writer_free_at);
-        Ok(SimReport {
-            total_s,
-            nodes: timelines,
-            peak_memory_bytes: peak_mem,
-        })
-    }
-
-    /// Discrete-event mirror of the engine's multi-lane executor: up to
-    /// `lanes` nodes run concurrently, each starting once every dependency
-    /// is readable, a lane is free, and the node is within the bounded
-    /// run-ahead window of the computed plan-order prefix (ready work is
-    /// dispatched in plan order). Flag admission replays the single-lane
-    /// Memory Catalog accounting deterministically: a flagged node's
-    /// admit-or-fallback outcome is precomputed in plan order, and the
-    /// admission itself waits until every node earlier in the plan has
-    /// computed. Background materializations share one FIFO write channel;
-    /// blocking writes — including memory-pressure fallbacks — occupy a
-    /// worker lane, as in the engine's pool.
-    fn run_multi_lane(
-        &self,
-        workload: &SimWorkload,
-        plan: &Plan,
-        pos: &[usize],
-        dp: &SimDeltaPlan,
-    ) -> Result<SimReport> {
+    /// Simulates a refresh run under `plan`: a discrete-event mirror of
+    /// the engine's refresh executor. Up to `config.lanes` nodes run
+    /// concurrently, each starting once every dependency is readable, a
+    /// lane is free, and the node is within the bounded run-ahead window
+    /// of the computed plan-order prefix (ready work is dispatched in plan
+    /// order); at one lane nodes start in exactly `plan.order`, the paper's
+    /// sequential controller. Flag admission replays the one-lane Memory
+    /// Catalog accounting: a flagged node's admit-or-fallback outcome is
+    /// precomputed in plan order, and the admission itself waits until
+    /// every node earlier in the plan has computed. Background
+    /// materializations share one FIFO write channel; blocking writes —
+    /// including memory-pressure fallbacks — occupy a lane, as in the
+    /// engine's pool. Each node is maintained fully or incrementally as
+    /// fixed before the run.
+    pub fn run(&self, workload: &SimWorkload, plan: &Plan) -> Result<SimReport> {
         use std::cmp::Reverse;
         use std::collections::{BTreeMap, BinaryHeap};
 
+        workload.graph.validate_order(&plan.order)?;
+        let pos = workload.graph.order_positions(&plan.order)?;
+        let dp = self.plan_deltas(workload, plan);
         let graph = &workload.graph;
         let n = graph.len();
         let cfg = &self.config;
@@ -687,7 +443,7 @@ impl Simulator {
             pending_parents[b.index()] += 1;
         }
 
-        // Deterministic replay of the single-lane accounting: fix every
+        // Deterministic replay of the one-lane accounting: fix every
         // flagged node's admit/fallback outcome in plan order upfront
         // (sizes are static in simulation). The replayer is the same type
         // the engine's executor uses, so the two cannot drift apart. The
@@ -709,19 +465,6 @@ impl Simulator {
                 .map(|i| replay.decision(i).unwrap_or(false))
                 .collect()
         };
-        if !cfg.fallback_on_memory_pressure {
-            // Strict-failure mode: the first modeled fallback aborts the
-            // run, as in the engine.
-            for &cand in &admission_order {
-                if !admit_decision[cand] {
-                    return Err(SimError::MemoryBudgetExceeded {
-                        requested: dp.payload[cand],
-                        used: 0,
-                        budget: cfg.memory_budget,
-                    });
-                }
-            }
-        }
 
         let mut events: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -777,11 +520,12 @@ impl Simulator {
                         Job::Compute(i) => {
                             let v = sc_dag::NodeId(i);
                             let node = graph.node(v);
-                            start_s[i] = $clock;
                             if dp.modes[i] == NodeMode::Skipped {
                                 // No statement issued: complete instantly.
+                                start_s[i] = $clock;
                                 push(&mut events, $clock, Event::ComputeEnd(i));
                             } else {
+                                start_s[i] = $clock + cfg.per_node_overhead_s;
                                 let incremental = dp.modes[i] == NodeMode::Incremental;
                                 let mut r = 0.0;
                                 let mut dr = 0.0;
@@ -842,13 +586,12 @@ impl Simulator {
                                 // read channel (one device, as in the
                                 // engine's throttle); memory reads and
                                 // compute don't.
-                                let t0 = $clock + cfg.per_node_overhead_s;
                                 let read_end = if dr > 0.0 {
-                                    let rs = t0.max(read_free_at);
+                                    let rs = start_s[i].max(read_free_at);
                                     read_free_at = rs + dr;
                                     rs + dr
                                 } else {
-                                    t0
+                                    start_s[i]
                                 };
                                 let mut done = read_end + (r - dr) + compute_s[i];
                                 if dp.spill[i] {
@@ -888,6 +631,22 @@ impl Simulator {
             };
         }
 
+        // Node `$i` consumed its parents: release entries whose consumers
+        // have now all executed. Per §III-C this does not wait for a
+        // parent's background write, which holds its own reference.
+        macro_rules! release_parents {
+            ($i:expr) => {
+                for &parent in graph.parents(sc_dag::NodeId($i)) {
+                    let p = parent.index();
+                    remaining_children[p] -= 1;
+                    if remaining_children[p] == 0 && resident[p] {
+                        resident[p] = false;
+                        mem_used -= dp.payload[p];
+                    }
+                }
+            };
+        }
+
         macro_rules! process_admissions {
             ($clock:expr) => {
                 while next_admit < admission_order.len() {
@@ -907,12 +666,23 @@ impl Simulator {
                         bg_free_at = done;
                         persisted_s[cand] = done;
                         push(&mut events, $clock, Event::Publish(cand));
-                    } else {
+                    } else if cfg.fallback_on_memory_pressure {
                         // Memory pressure: blocking write on a worker lane,
                         // exactly like the engine's fallback Write task.
                         fell_back[cand] = true;
                         ready.insert(pos[cand], Job::Write(cand));
+                    } else {
+                        // Strict-failure mode: the first fallback aborts
+                        // the run, reporting the live catalog usage.
+                        return Err(SimError::MemoryBudgetExceeded {
+                            requested: dp.payload[cand],
+                            used: mem_used,
+                            budget: cfg.memory_budget,
+                        });
                     }
+                    // Like the engine, a flagged node is admitted before
+                    // its own execution releases its parents.
+                    release_parents!(cand);
                     next_admit += 1;
                 }
             };
@@ -920,91 +690,96 @@ impl Simulator {
 
         dispatch!(0.0f64);
 
-        while let Some(Reverse(Entry(Key(clock, _), event))) = events.pop() {
-            end_time = end_time.max(clock);
-            match event {
-                Event::ComputeEnd(i) => {
-                    let v = sc_dag::NodeId(i);
-                    computed[i] = true;
-                    while prefix < n && computed[plan.order[prefix].index()] {
-                        prefix += 1;
-                    }
-                    // This node consumed its parents: release entries whose
-                    // consumers have now all executed.
-                    for &parent in graph.parents(v) {
-                        let p = parent.index();
-                        remaining_children[p] -= 1;
-                        if remaining_children[p] == 0 && resident[p] {
-                            resident[p] = false;
-                            mem_used -= dp.payload[p];
+        while let Some(Reverse(Entry(Key(clock, _), _))) = events.peek().copied() {
+            end_time = clock;
+            // Apply every event at this instant before handing out lanes,
+            // as the engine's coordinator handles a reply (admission,
+            // publish) before it dispatches the next task.
+            while events
+                .peek()
+                .is_some_and(|Reverse(Entry(Key(t, _), _))| *t == clock)
+            {
+                let Some(Reverse(Entry(_, event))) = events.pop() else {
+                    unreachable!("peeked")
+                };
+                match event {
+                    Event::ComputeEnd(i) => {
+                        computed[i] = true;
+                        while prefix < n && computed[plan.order[prefix].index()] {
+                            prefix += 1;
                         }
+                        if dp.modes[i] == NodeMode::Skipped {
+                            // Already persisted from the previous run: free
+                            // the lane and let consumers proceed.
+                            release_parents!(i);
+                            available_s[i] = clock;
+                            persisted_s[i] = clock;
+                            push(&mut events, clock, Event::LaneFree);
+                            push(&mut events, clock, Event::Publish(i));
+                        } else if flagged(i) && !occupies(i) {
+                            // Childless flagged node: created in memory only
+                            // to background its write; never occupies the
+                            // catalog.
+                            release_parents!(i);
+                            let created = clock + cfg.mem_time(dp.write_bytes[i]);
+                            available_s[i] = created;
+                            let wstart = created.max(bg_free_at);
+                            let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
+                            bg_free_at = done;
+                            persisted_s[i] = done;
+                            push(&mut events, created, Event::LaneFree);
+                            push(&mut events, created, Event::Publish(i));
+                        } else if flagged(i) {
+                            // Create the catalog payload in memory on this
+                            // lane (delta-sized for delta payloads), then
+                            // wait for plan-order admission, which releases
+                            // the parents. A node that will fall back is
+                            // never created in memory.
+                            let create_s = if admit_decision[i] {
+                                cfg.mem_time(dp.payload[i])
+                            } else {
+                                0.0
+                            };
+                            let created = clock + create_s;
+                            available_s[i] = created;
+                            push(&mut events, created, Event::LaneFree);
+                            push(&mut events, created, Event::AdmitReady(i));
+                        } else {
+                            // Blocking write on this lane, through the shared
+                            // write channel (one storage device).
+                            release_parents!(i);
+                            available_s[i] = clock;
+                            let wstart = clock.max(bg_free_at);
+                            let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
+                            bg_free_at = done;
+                            write_s[i] += done - clock;
+                            persisted_s[i] = done;
+                            push(&mut events, done, Event::LaneFree);
+                            push(&mut events, done, Event::Publish(i));
+                        }
+                        process_admissions!(clock);
                     }
-                    if dp.modes[i] == NodeMode::Skipped {
-                        // Already persisted from the previous run: free
-                        // the lane and let consumers proceed.
-                        available_s[i] = clock;
-                        persisted_s[i] = clock;
-                        push(&mut events, clock, Event::LaneFree);
+                    Event::AdmitReady(i) => {
+                        created_done[i] = true;
+                        process_admissions!(clock);
+                    }
+                    Event::LaneWriteEnd(i) => {
+                        lanes_available += 1;
                         push(&mut events, clock, Event::Publish(i));
-                    } else if flagged(i) && !occupies(i) {
-                        // Childless flagged node: created in memory only to
-                        // background its write; never occupies the catalog.
-                        let created = clock + cfg.mem_time(dp.write_bytes[i]);
-                        available_s[i] = created;
-                        let wstart = created.max(bg_free_at);
-                        let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                        bg_free_at = done;
-                        persisted_s[i] = done;
-                        push(&mut events, created, Event::LaneFree);
-                        push(&mut events, created, Event::Publish(i));
-                    } else if flagged(i) {
-                        // Create the catalog payload in memory on this
-                        // lane (delta-sized for delta payloads), then wait
-                        // for plan-order admission.
-                        let created = clock + cfg.mem_time(dp.payload[i]);
-                        available_s[i] = created;
-                        push(&mut events, created, Event::LaneFree);
-                        push(&mut events, created, Event::AdmitReady(i));
-                    } else {
-                        // Blocking write on this lane, through the shared
-                        // write channel (one storage device).
-                        available_s[i] = clock;
-                        let wstart = clock.max(bg_free_at);
-                        let done = wstart + cfg.disk_write_time(dp.write_bytes[i]);
-                        bg_free_at = done;
-                        write_s[i] += done - clock;
-                        persisted_s[i] = done;
-                        push(&mut events, done, Event::LaneFree);
-                        push(&mut events, done, Event::Publish(i));
                     }
-                    process_admissions!(clock);
-                    dispatch!(clock);
-                }
-                Event::AdmitReady(i) => {
-                    created_done[i] = true;
-                    process_admissions!(clock);
-                    dispatch!(clock);
-                }
-                Event::LaneWriteEnd(i) => {
-                    lanes_available += 1;
-                    push(&mut events, clock, Event::Publish(i));
-                    dispatch!(clock);
-                }
-                Event::Publish(i) => {
-                    for &child in graph.children(sc_dag::NodeId(i)) {
-                        let c = child.index();
-                        pending_parents[c] -= 1;
-                        if pending_parents[c] == 0 {
-                            ready.insert(pos[c], Job::Compute(c));
+                    Event::Publish(i) => {
+                        for &child in graph.children(sc_dag::NodeId(i)) {
+                            let c = child.index();
+                            pending_parents[c] -= 1;
+                            if pending_parents[c] == 0 {
+                                ready.insert(pos[c], Job::Compute(c));
+                            }
                         }
                     }
-                    dispatch!(clock);
-                }
-                Event::LaneFree => {
-                    lanes_available += 1;
-                    dispatch!(clock);
+                    Event::LaneFree => lanes_available += 1,
                 }
             }
+            dispatch!(clock);
         }
 
         let total_s = end_time.max(bg_free_at);
@@ -1086,6 +861,8 @@ mod tests {
         );
         assert_eq!(r.peak_memory_bytes, 0);
         assert_eq!(r.fallbacks(), 0);
+        // A node starts once its launch overhead has elapsed.
+        assert_eq!(r.nodes[0].start_s, cfg.per_node_overhead_s);
     }
 
     #[test]
@@ -1286,25 +1063,14 @@ mod tests {
             let four = Simulator::new(SimConfig::paper(16 * GIB).with_lanes(4))
                 .run(&w, &p)
                 .unwrap();
-            if flags.is_empty() {
-                // Without flags both models serialize through the chain
-                // identically.
-                assert!(
-                    (one.total_s - four.total_s).abs() < 1e-9,
-                    "unflagged chain must not change with lanes ({} vs {})",
-                    one.total_s,
-                    four.total_s
-                );
-            } else {
-                // With flags the multi-lane executor runs blocking writes
-                // on their own lanes instead of the shared channel, so it
-                // can only be at least as fast.
-                assert!(four.total_s <= one.total_s + 1e-9, "flags {flags:?}");
-            }
-            // The multi-lane executor releases a consumed parent before
-            // admitting its consumer, so its peak can only be lower.
             assert!(
-                four.peak_memory_bytes <= one.peak_memory_bytes,
+                (one.total_s - four.total_s).abs() < 1e-9,
+                "flags {flags:?}: a chain must not change with lanes ({} vs {})",
+                one.total_s,
+                four.total_s
+            );
+            assert_eq!(
+                one.peak_memory_bytes, four.peak_memory_bytes,
                 "flags {flags:?}"
             );
         }
@@ -1587,6 +1353,33 @@ mod tests {
                 .run(&w, &p)
                 .unwrap();
             assert_eq!(ok.fallbacks(), 1);
+        }
+        // The error reports the catalog usage at the failed admission:
+        // `a` is resident when `b` does not fit, at every lane count.
+        let w = SimWorkload::from_parts(
+            [
+                SimNode::new("a", 1.0, 4 * GIB, GIB),
+                SimNode::new("b", 1.0, 8 * GIB, GIB),
+                SimNode::new("c", 1.0, GIB, 0),
+            ],
+            [(0, 2), (1, 2)],
+        )
+        .unwrap();
+        let p = plan(&[0, 1, 2], &[0, 1], 3);
+        for lanes in [1usize, 2] {
+            let cfg = SimConfig::paper(5 * GIB)
+                .with_lanes(lanes)
+                .with_fallback_on_memory_pressure(false);
+            match Simulator::new(cfg).run(&w, &p) {
+                Err(crate::SimError::MemoryBudgetExceeded {
+                    requested,
+                    used,
+                    budget,
+                }) => {
+                    assert_eq!((requested, used, budget), (8 * GIB, 4 * GIB, 5 * GIB));
+                }
+                other => panic!("lanes={lanes}: expected budget error, got {other:?}"),
+            }
         }
     }
 

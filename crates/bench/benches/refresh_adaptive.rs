@@ -24,9 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sc_core::{CostModel, NodeMode, Plan, RefreshMode};
 use sc_dag::NodeId;
-use sc_engine::controller::{
-    Controller, ControllerConfig, CostProvenance, MvDefinition, RefreshConfig,
-};
+use sc_engine::controller::{Controller, CostProvenance, MvDefinition, RefreshConfig};
 use sc_engine::exec::{AggFunc, TableDelta};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
@@ -180,10 +178,7 @@ impl AdaptiveBench {
         let mem = MemoryCatalog::new(64 << 20);
         let mut controller = Controller::new(&self.disk, &mem)
             .with_delta_store(&store)
-            .with_config(ControllerConfig {
-                cost_model: fast_storage(),
-                ..ControllerConfig::default()
-            })
+            .with_cost_model(fast_storage())
             .with_refresh_config(RefreshConfig::default().with_refresh_mode(RefreshMode::Auto));
         if let Some(obs) = observations {
             controller = controller.with_observations(obs);

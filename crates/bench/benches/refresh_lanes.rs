@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use sc_core::{CostModel, Plan, ScOptimizer};
 use sc_dag::NodeId;
-use sc_engine::controller::{Controller, MvDefinition};
+use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
 use sc_engine::expr::Expr;
 use sc_engine::plan::LogicalPlan;
 use sc_engine::storage::{DiskCatalog, MemoryCatalog, Throttle};
@@ -65,7 +65,7 @@ fn bench_sales_pipeline(c: &mut Criterion) {
             g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
                 b.iter(|| {
                     Controller::new(&disk, &mem)
-                        .with_lanes(lanes)
+                        .with_refresh_config(RefreshConfig::with_lanes(lanes))
                         .refresh(&mvs, plan)
                         .expect("refreshes")
                 })
@@ -100,7 +100,7 @@ fn bench_wide_ingest(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(lanes), &lanes, |b, &lanes| {
             b.iter(|| {
                 Controller::new(&disk, &mem)
-                    .with_lanes(lanes)
+                    .with_refresh_config(RefreshConfig::with_lanes(lanes))
                     .refresh(&mvs, &plan)
                     .expect("refreshes")
             })

@@ -18,11 +18,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use sc_dag::Dag;
-
-use crate::problem::MvMeta;
-use crate::{Problem, Result};
-
 /// Number of bytes in a mebibyte/gibibyte, used by the defaults below.
 pub const MIB: u64 = 1 << 20;
 /// Bytes per gibibyte.
@@ -35,11 +30,10 @@ pub const GIB: u64 = 1 << 30;
 /// The static [`CostModel`] is a pure I/O model — it admits in its own
 /// docs that compute is not modeled. This summary carries the terms real
 /// runs expose: per-byte compute throughput under full recomputation and
-/// under incremental maintenance, the measured write rate of the node's
-/// materialization, and the observed output-delta amplification of its
-/// append path. Every field is optional: a summary only contributes the
-/// terms it has actually seen, and decisions fall back to the static
-/// estimates for the rest.
+/// under incremental maintenance, and the observed output-delta
+/// amplification of its append path. Every field is optional: a summary
+/// only contributes the terms it has actually seen, and decisions fall
+/// back to the static estimates for the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ObservedNodeCost {
     /// Compute seconds per *output* byte measured on representative
@@ -52,9 +46,6 @@ pub struct ObservedNodeCost {
     /// incremental refreshes. `None` falls back to the full-path rate
     /// (the delta operators do proportionally less of the same work).
     pub inc_compute_s_per_byte: Option<f64>,
-    /// Blocking-write seconds per byte actually persisted, from runs
-    /// whose write landed on the critical path.
-    pub write_s_per_byte: Option<f64>,
     /// Observed output-delta / input-delta amplification from append-path
     /// refreshes — the measured replacement for the stored-size /
     /// spine-size ratio the planner otherwise guesses with.
@@ -127,7 +118,9 @@ impl CostModel {
     /// The paper's speedup score `ti` for a node of output size `size` with
     /// `num_children` downstream consumers.
     pub fn speedup_score(&self, size: u64, num_children: usize) -> f64 {
-        self.speedup_score_observed(size, num_children, None)
+        let read_saving = self.disk_read_time(size) - self.mem_read_time(size);
+        let write_saving = self.disk_write_time(size) - self.mem_write_time(size);
+        (num_children as f64 * read_saving + write_saving).max(0.0)
     }
 
     /// Whether maintaining an MV incrementally is predicted to beat a full
@@ -161,37 +154,15 @@ impl CostModel {
     /// their churning input: the avoided O(MV) read *and* write both
     /// scale with MV size, the delta terms do not.
     ///
-    /// Compute is not modeled here — the delta operators' work is
-    /// proportional to `delta_bytes` and therefore dominated by the terms
-    /// already present.
+    /// Compute is not modeled by the static terms. When `observed`
+    /// carries a compute-throughput sample for this node shape, both
+    /// sides of the comparison gain the compute term: the full path is
+    /// charged the observed per-byte rate over its whole output, the
+    /// incremental path only over its output delta. Without a sample
+    /// (`None`, or a summary with no compute signal) the decision is the
+    /// static one, so a missing, corrupt or not-yet-warm observation
+    /// sidecar can never flip a decision the wrong way.
     pub fn incremental_refresh_wins(
-        &self,
-        input_bytes: u64,
-        output_bytes: u64,
-        delta_bytes: u64,
-        static_bytes: u64,
-        append_bytes: Option<u64>,
-    ) -> bool {
-        self.incremental_refresh_wins_observed(
-            input_bytes,
-            output_bytes,
-            delta_bytes,
-            static_bytes,
-            append_bytes,
-            None,
-        )
-    }
-
-    /// [`CostModel::incremental_refresh_wins`] with a runtime-feedback
-    /// layer: when `observed` carries a compute-throughput sample for
-    /// this node shape, both sides of the comparison gain the compute
-    /// term the static model cannot see — the full path is charged the
-    /// observed per-byte rate over its whole output, the incremental
-    /// path only over its output delta. Without a sample the decision is
-    /// bit-for-bit the static one, so a missing / corrupt / not-yet-warm
-    /// observation sidecar can never flip a decision the wrong way — it
-    /// merely leaves today's estimate in place.
-    pub fn incremental_refresh_wins_observed(
         &self,
         input_bytes: u64,
         output_bytes: u64,
@@ -235,55 +206,6 @@ impl CostModel {
             incremental += inc_rate.unwrap_or(0.0) * out_delta as f64;
         }
         incremental < full
-    }
-
-    /// [`CostModel::speedup_score`] with runtime feedback: when
-    /// `observed` carries a measured write rate for this node shape, the
-    /// "create `vi` off the critical path" saving is priced at the rate
-    /// the node's materializations have actually achieved instead of the
-    /// model's global write bandwidth. (The per-consumer read saving
-    /// stays modeled: a consumer's observed read time covers *all* its
-    /// inputs and cannot be attributed to one parent.) Without a sample
-    /// the score is exactly the static one.
-    pub fn speedup_score_observed(
-        &self,
-        size: u64,
-        num_children: usize,
-        observed: Option<&ObservedNodeCost>,
-    ) -> f64 {
-        let disk_write = match observed.and_then(|o| o.write_s_per_byte) {
-            Some(rate) => rate * size as f64,
-            None => self.disk_write_time(size),
-        };
-        let read_saving = self.disk_read_time(size) - self.mem_read_time(size);
-        let write_saving = disk_write - self.mem_write_time(size);
-        (num_children as f64 * read_saving + write_saving).max(0.0)
-    }
-
-    /// Annotates a dependency graph of `(name, output size)` pairs with
-    /// speedup scores, producing an S/C Opt instance.
-    pub fn build_problem(&self, graph: &Dag<(String, u64)>, budget: u64) -> Result<Problem> {
-        self.build_problem_observed(graph, budget, |_| None)
-    }
-
-    /// [`CostModel::build_problem`] with runtime feedback: `observed`
-    /// resolves a node name to its [`ObservedNodeCost`] summary (when a
-    /// shape fingerprint matched); matched nodes are scored with
-    /// [`CostModel::speedup_score_observed`].
-    pub fn build_problem_observed(
-        &self,
-        graph: &Dag<(String, u64)>,
-        budget: u64,
-        observed: impl Fn(&str) -> Option<ObservedNodeCost>,
-    ) -> Result<Problem> {
-        let annotated = graph.map(|v, (name, size)| {
-            MvMeta::new(
-                name.clone(),
-                *size,
-                self.speedup_score_observed(*size, graph.out_degree(v), observed(name).as_ref()),
-            )
-        });
-        Problem::new(annotated, budget)
     }
 }
 
@@ -332,18 +254,18 @@ mod tests {
         let m = CostModel::paper();
         // Aggregate-shaped node: huge input, tiny MV, tiny delta (merge
         // path: not appendable).
-        assert!(m.incremental_refresh_wins(GIB, MIB, MIB / 10, 0, None));
+        assert!(m.incremental_refresh_wins(GIB, MIB, MIB / 10, 0, None, None));
         // Full-copy-shaped node on the rewrite path: the old MV is as big
         // as the input, so re-reading and rewriting it buys nothing.
-        assert!(!m.incremental_refresh_wins(GIB, GIB, MIB, 0, None));
+        assert!(!m.incremental_refresh_wins(GIB, GIB, MIB, 0, None, None));
         // A delta as large as the input cannot win either way.
-        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, None));
-        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, Some(2 * GIB)));
+        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, None, None));
+        assert!(!m.incremental_refresh_wins(GIB, MIB, 2 * GIB, 0, Some(2 * GIB), None));
         // Join-hub-shaped node: a small static dimension the delta still
         // probes barely dents the win over re-scanning the huge fact side…
-        assert!(m.incremental_refresh_wins(GIB, 64 * MIB, MIB, 32 * MIB, None));
+        assert!(m.incremental_refresh_wins(GIB, 64 * MIB, MIB, 32 * MIB, None, None));
         // …but a build side as large as the whole input erases it.
-        assert!(!m.incremental_refresh_wins(GIB, 64 * MIB, MIB, GIB, None));
+        assert!(!m.incremental_refresh_wins(GIB, 64 * MIB, MIB, GIB, None, None));
     }
 
     #[test]
@@ -351,20 +273,20 @@ mod tests {
         let m = CostModel::paper();
         // The ROADMAP gap: a wide hub MV whose contents out-size its
         // churning input. The rewrite path loses (O(MV) read + write)…
-        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, None));
+        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, None, None));
         // …but the append path skips the old-MV read and writes a
         // delta-sized segment, so the same node now wins under Auto —
         // even priced at a 4x join-fan-out-amplified output delta.
-        assert!(m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(4 * MIB)));
+        assert!(m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(4 * MIB), None));
         // The append win grows with MV size at fixed delta: once it wins,
         // a larger MV only widens the avoided-write gap.
-        assert!(m.incremental_refresh_wins(GIB, 8 * GIB, MIB, 64 * MIB, Some(4 * MIB)));
+        assert!(m.incremental_refresh_wins(GIB, 8 * GIB, MIB, 64 * MIB, Some(4 * MIB), None));
         // An output delta amplified to the size of the MV itself erases
         // the append advantage…
-        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(3 * GIB)));
+        assert!(!m.incremental_refresh_wins(GIB, 2 * GIB, MIB, 64 * MIB, Some(3 * GIB), None));
         // …as do static build sides out-weighing the full path's whole
         // read+write bill.
-        assert!(!m.incremental_refresh_wins(GIB, MIB, MIB, 4 * GIB, Some(MIB)));
+        assert!(!m.incremental_refresh_wins(GIB, MIB, MIB, 4 * GIB, Some(MIB), None));
     }
 
     /// A summary with only the given full-path compute rate.
@@ -372,7 +294,6 @@ mod tests {
         ObservedNodeCost {
             full_compute_s_per_byte: Some(rate),
             inc_compute_s_per_byte: None,
-            write_s_per_byte: None,
             output_delta_ratio: None,
             samples: 1,
         }
@@ -386,24 +307,23 @@ mod tests {
         // and rewrites the MV, so on I/O alone recomputation looks
         // cheaper (one access fewer)…
         let (input, output, delta) = (MIB, MIB, 16 * 1024);
-        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, None));
         // …and an empty summary changes nothing, bit for bit.
         let cold = ObservedNodeCost {
             full_compute_s_per_byte: None,
             inc_compute_s_per_byte: None,
-            write_s_per_byte: None,
             output_delta_ratio: None,
             samples: 0,
         };
-        assert!(!m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&cold)));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&cold)));
         // A measured full recomputation at 50 ms/MiB dwarfs the phantom
         // I/O edge: the delta path only pays that rate over its delta.
         let obs = full_rate(0.05 / MIB as f64);
-        assert!(m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&obs)));
+        assert!(m.incremental_refresh_wins(input, output, delta, 0, None, Some(&obs)));
         // The observed layer is symmetric: a *cheap* measured compute
         // leaves the static I/O decision in charge.
         let tiny = full_rate(1e-12);
-        assert!(!m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&tiny)));
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&tiny)));
     }
 
     #[test]
@@ -415,47 +335,6 @@ mod tests {
         // the full-rate fallback would have granted.
         let mut obs = full_rate(0.05 / MIB as f64);
         obs.inc_compute_s_per_byte = Some(100.0 * 0.05 / MIB as f64);
-        assert!(!m.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&obs)));
-    }
-
-    #[test]
-    fn observed_write_rate_reprices_the_flag_score() {
-        let m = CostModel::paper();
-        // Without a sample the observed score is exactly the static one.
-        assert_eq!(
-            m.speedup_score_observed(GIB, 2, None),
-            m.speedup_score(GIB, 2)
-        );
-        // A node whose materialization runs at half the modeled bandwidth
-        // is worth *more* off the critical path…
-        let slow = ObservedNodeCost {
-            full_compute_s_per_byte: None,
-            inc_compute_s_per_byte: None,
-            write_s_per_byte: Some(2.0 / m.disk_write_bps),
-            output_delta_ratio: None,
-            samples: 3,
-        };
-        assert!(m.speedup_score_observed(GIB, 2, Some(&slow)) > m.speedup_score(GIB, 2));
-        // …and a degenerate fast one still clamps at zero.
-        let fast = ObservedNodeCost {
-            write_s_per_byte: Some(0.0),
-            ..slow
-        };
-        assert!(m.speedup_score_observed(0, 0, Some(&fast)) >= 0.0);
-    }
-
-    #[test]
-    fn build_problem_annotates_scores() {
-        let g: Dag<(String, u64)> = Dag::from_parts(
-            [("a".to_string(), GIB), ("b".to_string(), MIB)],
-            [(0usize, 1usize)],
-        )
-        .unwrap();
-        let m = CostModel::paper();
-        let p = m.build_problem(&g, GIB).unwrap();
-        assert_eq!(p.len(), 2);
-        assert!((p.score(sc_dag::NodeId(0)) - m.speedup_score(GIB, 1)).abs() < 1e-12);
-        assert!((p.score(sc_dag::NodeId(1)) - m.speedup_score(MIB, 0)).abs() < 1e-12);
-        assert_eq!(p.graph().node(sc_dag::NodeId(0)).name, "a");
+        assert!(!m.incremental_refresh_wins(input, output, delta, 0, None, Some(&obs)));
     }
 }

@@ -69,30 +69,6 @@ impl MvDefinition {
     }
 }
 
-/// Controller tuning.
-#[derive(Debug, Clone)]
-pub struct ControllerConfig {
-    /// If true (default), a flagged node whose output unexpectedly exceeds
-    /// the remaining Memory Catalog budget falls back to a blocking disk
-    /// materialization instead of failing the run. The optimizer plans from
-    /// *estimated* sizes, so a small estimation error must not abort a
-    /// refresh.
-    pub fallback_on_memory_pressure: bool,
-    /// Cost model consulted by [`RefreshMode::Auto`] when deciding whether
-    /// a node is maintained incrementally or recomputed
-    /// ([`CostModel::incremental_refresh_wins`]).
-    pub cost_model: CostModel,
-}
-
-impl Default for ControllerConfig {
-    fn default() -> Self {
-        ControllerConfig {
-            fallback_on_memory_pressure: true,
-            cost_model: CostModel::paper(),
-        }
-    }
-}
-
 /// Parallelism and maintenance settings for a refresh run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshConfig {
@@ -101,13 +77,6 @@ pub struct RefreshConfig {
     /// exactly `plan.order` on the calling thread, as in the paper's
     /// controller.
     pub lanes: usize,
-    /// Bounded run-ahead window for the executor: a node may
-    /// only start once every node more than this many plan positions ahead
-    /// of it has computed. `None` (default) derives the window from the
-    /// lane count via [`sc_core::run_ahead_window`]; operators can trade
-    /// transient out-of-catalog memory against lane utilization by setting
-    /// it explicitly.
-    pub run_ahead_window: Option<usize>,
     /// Full-vs-incremental maintenance policy, effective only when a
     /// [`DeltaStore`] is attached ([`Controller::with_delta_store`]).
     pub refresh_mode: RefreshMode,
@@ -117,7 +86,6 @@ impl Default for RefreshConfig {
     fn default() -> Self {
         RefreshConfig {
             lanes: 1,
-            run_ahead_window: None,
             refresh_mode: RefreshMode::Auto,
         }
     }
@@ -130,12 +98,6 @@ impl RefreshConfig {
             lanes: lanes.max(1),
             ..RefreshConfig::default()
         }
-    }
-
-    /// Overrides the run-ahead window.
-    pub fn with_run_ahead_window(mut self, window: usize) -> Self {
-        self.run_ahead_window = Some(window);
-        self
     }
 
     /// Overrides the maintenance policy.
@@ -268,7 +230,10 @@ impl RunMetrics {
 pub struct Controller<'a> {
     disk: &'a DiskCatalog,
     memory: &'a MemoryCatalog,
-    config: ControllerConfig,
+    /// Cost model consulted by [`RefreshMode::Auto`] when deciding whether
+    /// a node is maintained incrementally or recomputed
+    /// ([`CostModel::incremental_refresh_wins`]).
+    cost_model: CostModel,
     refresh: RefreshConfig,
     deltas: Option<&'a DeltaStore>,
     observations: Option<&'a ObservationStore>,
@@ -666,7 +631,7 @@ impl<'a> Controller<'a> {
         Controller {
             disk,
             memory,
-            config: ControllerConfig::default(),
+            cost_model: CostModel::paper(),
             refresh: RefreshConfig::default(),
             deltas: None,
             observations: None,
@@ -694,9 +659,10 @@ impl<'a> Controller<'a> {
         self
     }
 
-    /// Overrides the configuration.
-    pub fn with_config(mut self, config: ControllerConfig) -> Self {
-        self.config = config;
+    /// Overrides the cost model behind [`RefreshMode::Auto`] decisions
+    /// (default: [`CostModel::paper`]).
+    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
+        self.cost_model = cost_model;
         self
     }
 
@@ -704,11 +670,6 @@ impl<'a> Controller<'a> {
     pub fn with_refresh_config(mut self, refresh: RefreshConfig) -> Self {
         self.refresh = refresh;
         self
-    }
-
-    /// Shorthand for [`Controller::with_refresh_config`].
-    pub fn with_lanes(self, lanes: usize) -> Self {
-        self.with_refresh_config(RefreshConfig::with_lanes(lanes))
     }
 
     /// Derives the dependency edges among `mvs` (an edge `i -> j` when MV
@@ -941,7 +902,7 @@ impl<'a> Controller<'a> {
                     } else {
                         CostProvenance::Estimated
                     };
-                    self.config.cost_model.incremental_refresh_wins_observed(
+                    self.cost_model.incremental_refresh_wins(
                         input_bytes,
                         mv_bytes,
                         delta_bytes,
@@ -1325,10 +1286,7 @@ impl<'a> Controller<'a> {
     ) -> Result<RunMetrics> {
         let n = mvs.len();
         let lanes = self.refresh.lanes.clamp(1, n.max(1));
-        let window = self
-            .refresh
-            .run_ahead_window
-            .unwrap_or_else(|| sc_core::run_ahead_window(lanes));
+        let window = sc_core::run_ahead_window(lanes);
         let index: HashMap<&str, usize> = mvs
             .iter()
             .enumerate()
@@ -1536,13 +1494,6 @@ impl<'a> Controller<'a> {
                             if !released && pos[cand] > pos[idx] {
                                 residency.release_parents(self.memory, &parents[idx]);
                                 released = true;
-                            }
-                            if !admit && !self.config.fallback_on_memory_pressure {
-                                return Err(EngineError::MemoryBudgetExceeded {
-                                    requested: sizes[cand],
-                                    used: replay.used(),
-                                    budget: self.memory.budget(),
-                                });
                             }
                             let mut pending = awaiting_admission
                                 .remove(&cand)
@@ -1848,21 +1799,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_pressure_without_fallback_errors() {
-        let (_dir, disk, mem) = setup(16);
-        let mvs = fig4_workload();
-        let plan = plan_for(&mvs, &[0]);
-        let controller = Controller::new(&disk, &mem).with_config(ControllerConfig {
-            fallback_on_memory_pressure: false,
-            ..ControllerConfig::default()
-        });
-        assert!(matches!(
-            controller.refresh(&mvs, &plan),
-            Err(EngineError::MemoryBudgetExceeded { .. })
-        ));
-    }
-
-    #[test]
     fn rejects_invalid_plans() {
         let (_dir, disk, mem) = setup(1 << 20);
         let mvs = fig4_workload();
@@ -1929,7 +1865,8 @@ mod tests {
         ));
         let bad_plan = plan_for(&mvs, &[0]);
         for lanes in [1usize, 4] {
-            let c = Controller::new(&disk, &mem).with_lanes(lanes);
+            let c =
+                Controller::new(&disk, &mem).with_refresh_config(RefreshConfig::with_lanes(lanes));
             assert!(matches!(
                 c.refresh(&mvs, &bad_plan),
                 Err(EngineError::UnknownTable(_))
@@ -2026,7 +1963,7 @@ mod tests {
 
             let seq = Controller::new(&disk1, &mem1).refresh(&mvs, &plan).unwrap();
             let par = Controller::new(&disk2, &mem2)
-                .with_lanes(4)
+                .with_refresh_config(RefreshConfig::with_lanes(4))
                 .refresh(&mvs, &plan)
                 .unwrap();
 
@@ -2093,7 +2030,7 @@ mod tests {
             let mvs = wide_workload();
             let plan = plan_for(&mvs, &flags);
             let m = Controller::new(&disk, &mem)
-                .with_lanes(3)
+                .with_refresh_config(RefreshConfig::with_lanes(3))
                 .refresh(&mvs, &plan)
                 .unwrap();
             assert_eq!(m.nodes.len(), 5);
@@ -2119,7 +2056,7 @@ mod tests {
         let mvs = fig4_workload();
         let plan = plan_for(&mvs, &[0]);
         let m = Controller::new(&disk, &mem)
-            .with_lanes(2)
+            .with_refresh_config(RefreshConfig::with_lanes(2))
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(m.nodes[0].fell_back);
@@ -2132,7 +2069,7 @@ mod tests {
     fn parallel_rejects_invalid_plans_too() {
         let (_dir, disk, mem) = setup(1 << 20);
         let mvs = fig4_workload();
-        let c = Controller::new(&disk, &mem).with_lanes(4);
+        let c = Controller::new(&disk, &mem).with_refresh_config(RefreshConfig::with_lanes(4));
         let bad = Plan {
             order: vec![NodeId(1), NodeId(0), NodeId(2)],
             flagged: FlagSet::none(3),
@@ -2152,7 +2089,7 @@ mod tests {
         let plan = plan_for(&mvs, &[]);
         assert!(matches!(
             Controller::new(&disk, &mem)
-                .with_lanes(2)
+                .with_refresh_config(RefreshConfig::with_lanes(2))
                 .refresh(&mvs, &plan),
             Err(EngineError::UnknownTable(_))
         ));
@@ -2188,7 +2125,7 @@ mod tests {
 
         let seq = Controller::new(&disk, &mem).refresh(&mvs, &plan).unwrap();
         let par = Controller::new(&disk, &mem)
-            .with_lanes(4)
+            .with_refresh_config(RefreshConfig::with_lanes(4))
             .refresh(&mvs, &plan)
             .unwrap();
         assert!(
@@ -2244,7 +2181,7 @@ mod tests {
             for _ in 0..runs {
                 let (_dir, disk, mem) = setup(tight);
                 let m = Controller::new(&disk, &mem)
-                    .with_lanes(lanes)
+                    .with_refresh_config(RefreshConfig::with_lanes(lanes))
                     .refresh(&mvs, &plan)
                     .unwrap();
                 assert!(
@@ -2266,30 +2203,46 @@ mod tests {
         assert_eq!(RefreshConfig::default().lanes, 1);
         assert_eq!(RefreshConfig::with_lanes(0).lanes, 1);
         assert_eq!(RefreshConfig::with_lanes(8).lanes, 8);
-        assert_eq!(RefreshConfig::default().run_ahead_window, None);
         assert_eq!(RefreshConfig::default().refresh_mode, RefreshMode::Auto);
-        let c = RefreshConfig::with_lanes(2)
-            .with_run_ahead_window(3)
-            .with_refresh_mode(RefreshMode::AlwaysIncremental);
-        assert_eq!(c.run_ahead_window, Some(3));
+        let c = RefreshConfig::with_lanes(2).with_refresh_mode(RefreshMode::AlwaysIncremental);
+        assert_eq!(c.lanes, 2);
         assert_eq!(c.refresh_mode, RefreshMode::AlwaysIncremental);
     }
 
+    /// More roots than the 2-lane run-ahead window: every root is ready
+    /// at the start, so plan positions past `run_ahead_window(2)` are held
+    /// until the computed prefix catches up. The held run must persist
+    /// the same bytes as the 1-lane run.
     #[test]
-    fn explicit_run_ahead_window_is_honored() {
-        let (_dir, disk, mem) = setup(4 << 20);
-        let mvs = wide_workload();
-        let plan = plan_for(&mvs, &[]);
-        // A window of 0 serializes starts to the computed prefix; the run
-        // must still complete and produce every MV.
-        let m = Controller::new(&disk, &mem)
-            .with_refresh_config(RefreshConfig::with_lanes(3).with_run_ahead_window(0))
-            .refresh(&mvs, &plan)
-            .unwrap();
-        assert_eq!(m.nodes.len(), 5);
-        for mv in &mvs {
-            assert!(disk.contains(&mv.name));
-        }
+    fn derived_run_ahead_window_holds_roots_and_matches_one_lane() {
+        let window = sc_core::run_ahead_window(2);
+        let roots = window + 4;
+        let mut mvs: Vec<MvDefinition> = (0..roots)
+            .map(|i| {
+                MvDefinition::new(
+                    format!("r{i}"),
+                    LogicalPlan::scan("base").filter(Expr::col("k").eq(Expr::lit(i as i64 % 10))),
+                )
+            })
+            .collect();
+        let sink = (1..roots).fold(LogicalPlan::scan("r0"), |acc, i| {
+            acc.union(LogicalPlan::scan(format!("r{i}")))
+        });
+        mvs.push(MvDefinition::new("sink", sink));
+        let plan = plan_for(&mvs, &[0, 1, roots - 1]);
+        let persisted = |lanes: usize| {
+            let (_dir, disk, mem) = setup(4 << 20);
+            let m = Controller::new(&disk, &mem)
+                .with_refresh_config(RefreshConfig::with_lanes(lanes))
+                .refresh(&mvs, &plan)
+                .unwrap();
+            assert_eq!(m.nodes.len(), roots + 1);
+            assert!(mem.is_empty(), "{lanes} lanes: catalog drained");
+            mvs.iter()
+                .map(|mv| crate::storage::format::encode(&disk.read_table(&mv.name).unwrap()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(persisted(2), persisted(1));
     }
 
     /// Incremental-refresh workload: a filtered slice and an aggregate
@@ -2343,7 +2296,7 @@ mod tests {
                 disk.write_table("side", &delta_rows(0..50)).unwrap();
                 let mem = MemoryCatalog::new(8 << 20);
                 Controller::new(&disk, &mem)
-                    .with_lanes(lanes)
+                    .with_refresh_config(RefreshConfig::with_lanes(lanes))
                     .refresh(&mvs, &plan)
                     .unwrap();
                 disks.push((disk, mem));
@@ -2353,13 +2306,13 @@ mod tests {
             let full_store = DeltaStore::new();
             let inc_store = DeltaStore::new();
             for ((disk, _), store) in disks.iter().zip([&full_store, &inc_store]) {
-                crate::storage::ingest(
-                    disk,
-                    store,
-                    "base",
-                    crate::exec::TableDelta::insert_only(delta_rows(400..440)),
-                )
-                .unwrap();
+                store
+                    .ingest(
+                        disk,
+                        "base",
+                        crate::exec::TableDelta::insert_only(delta_rows(400..440)),
+                    )
+                    .unwrap();
             }
 
             let (disk_full, mem_full) = &disks[0];
@@ -2453,13 +2406,13 @@ mod tests {
         assert!(full_flag_peak > 0);
 
         let store = DeltaStore::new();
-        crate::storage::ingest(
-            &disk,
-            &store,
-            "base",
-            crate::exec::TableDelta::insert_only(delta_rows(400..420)),
-        )
-        .unwrap();
+        store
+            .ingest(
+                &disk,
+                "base",
+                crate::exec::TableDelta::insert_only(delta_rows(400..420)),
+            )
+            .unwrap();
         let inc = Controller::new(&disk, &mem)
             .with_delta_store(&store)
             .with_refresh_config(
@@ -2497,13 +2450,13 @@ mod tests {
             .unwrap();
 
         let store = DeltaStore::new();
-        crate::storage::ingest(
-            &disk,
-            &store,
-            "base",
-            crate::exec::TableDelta::insert_only(delta_rows(400..430)),
-        )
-        .unwrap();
+        store
+            .ingest(
+                &disk,
+                "base",
+                crate::exec::TableDelta::insert_only(delta_rows(400..430)),
+            )
+            .unwrap();
 
         // A doomed run: the good nodes first, then one scanning a missing
         // table.
@@ -2574,13 +2527,13 @@ mod tests {
         c.refresh(&mvs, &plan).unwrap();
 
         let store = DeltaStore::new();
-        crate::storage::ingest(
-            &disk,
-            &store,
-            "base",
-            crate::exec::TableDelta::insert_only(delta_rows(2000..2040)),
-        )
-        .unwrap();
+        store
+            .ingest(
+                &disk,
+                "base",
+                crate::exec::TableDelta::insert_only(delta_rows(2000..2040)),
+            )
+            .unwrap();
         let auto = Controller::new(&disk, &mem)
             .with_delta_store(&store)
             .refresh(&mvs, &plan)
@@ -2611,17 +2564,17 @@ mod tests {
         deletes
             .push_row(vec![Value::Int64(3), Value::Float64(3.0)])
             .unwrap();
-        crate::storage::ingest(
-            &disk,
-            &store,
-            "base",
-            crate::exec::TableDelta::from_batch(crate::exec::DeltaBatch {
-                deletes,
-                inserts: delta_rows(0..0),
-            })
-            .unwrap(),
-        )
-        .unwrap();
+        store
+            .ingest(
+                &disk,
+                "base",
+                crate::exec::TableDelta::from_batch(crate::exec::DeltaBatch {
+                    deletes,
+                    inserts: delta_rows(0..0),
+                })
+                .unwrap(),
+            )
+            .unwrap();
         let auto = Controller::new(&disk, &mem)
             .with_delta_store(&store)
             .refresh(&mvs, &plan)

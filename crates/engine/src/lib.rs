@@ -61,9 +61,7 @@ pub mod table;
 pub mod types;
 
 pub use column::Column;
-pub use controller::{
-    Controller, ControllerConfig, CostProvenance, NodeMetrics, RefreshConfig, RunMetrics,
-};
+pub use controller::{Controller, CostProvenance, NodeMetrics, RefreshConfig, RunMetrics};
 pub use error::EngineError;
 pub use schema::{Field, Schema};
 pub use table::{Table, TableBuilder};
@@ -75,7 +73,7 @@ pub type Result<T> = std::result::Result<T, EngineError>;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::column::Column;
-    pub use crate::controller::{Controller, ControllerConfig, RefreshConfig, RunMetrics};
+    pub use crate::controller::{Controller, RefreshConfig, RunMetrics};
     pub use crate::exec::{DeltaBatch, TableDelta};
     pub use crate::expr::Expr;
     pub use crate::plan::{AggExpr, JoinType, LogicalPlan};

@@ -1,13 +1,13 @@
 //! The append-only **delta log**: pending base-table changes accumulated
 //! between refresh runs.
 //!
-//! Ingestion is a two-step protocol (see [`ingest`]): the change batch is
-//! applied to the authoritative base table in external storage immediately
-//! — the DBMS's tables are always current — and simultaneously appended
-//! here, so the next refresh run knows exactly what changed since each
-//! MV's last refresh. A successful refresh consumes the log
-//! ([`DeltaStore::clear`]); a failed one leaves it intact so the changes
-//! are retried.
+//! Ingestion is a two-step protocol (see [`DeltaStore::ingest`]): the
+//! change batch is applied to the authoritative base table in external
+//! storage immediately — the DBMS's tables are always current — and
+//! simultaneously appended here, so the next refresh run knows exactly
+//! what changed since each MV's last refresh. A successful refresh
+//! consumes the batches it snapshotted ([`DeltaStore::consume`]); a
+//! failed one leaves them pending so the changes are retried.
 
 use std::collections::HashMap;
 
@@ -138,13 +138,6 @@ impl DeltaStore {
         g.poisoned = false;
     }
 
-    /// Drops every pending delta and clears the poison flag.
-    pub fn clear(&self) {
-        let mut g = self.inner.lock();
-        g.pending.clear();
-        g.poisoned = false;
-    }
-
     /// Ingests one change batch: applies `delta` to the base table
     /// `table` in `disk` (the authoritative copy stays current) and logs
     /// it for the next refresh run's incremental maintenance.
@@ -167,16 +160,6 @@ impl DeltaStore {
         }
         Ok(())
     }
-}
-
-/// Free-function form of [`DeltaStore::ingest`].
-pub fn ingest(
-    disk: &DiskCatalog,
-    store: &DeltaStore,
-    table: &str,
-    delta: TableDelta,
-) -> Result<()> {
-    store.ingest(disk, table, delta)
 }
 
 #[cfg(test)]
@@ -210,8 +193,6 @@ mod tests {
         assert!(store.pending_bytes("t") > 0);
         assert_eq!(store.pending_bytes("other"), 0);
         assert_eq!(store.tables(), vec!["t".to_string()]);
-        store.clear();
-        assert!(store.is_empty());
     }
 
     #[test]
@@ -259,17 +240,17 @@ mod tests {
         let disk = DiskCatalog::open(dir.path()).unwrap();
         disk.write_table("t", &rows(&[1, 2])).unwrap();
         let store = DeltaStore::new();
-        ingest(
-            &disk,
-            &store,
-            "t",
-            TableDelta::from_batch(DeltaBatch {
-                deletes: rows(&[1]),
-                inserts: rows(&[9]),
-            })
-            .unwrap(),
-        )
-        .unwrap();
+        store
+            .ingest(
+                &disk,
+                "t",
+                TableDelta::from_batch(DeltaBatch {
+                    deletes: rows(&[1]),
+                    inserts: rows(&[9]),
+                })
+                .unwrap(),
+            )
+            .unwrap();
         assert_eq!(disk.read_table("t").unwrap(), rows(&[2, 9]));
         assert_eq!(store.pending("t").unwrap().delete_rows(), 1);
     }

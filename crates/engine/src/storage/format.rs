@@ -320,7 +320,7 @@ pub fn decode(mut data: Bytes) -> Result<Table> {
 
 fn decode_column(dtype: DataType, payload: &[u8], nrows: usize) -> Result<Column> {
     let fixed = |width: usize| -> Result<()> {
-        if payload.len() != nrows * width {
+        if nrows.checked_mul(width) != Some(payload.len()) {
             Err(EngineError::Corrupt(format!(
                 "column payload {} != {} rows × {width}",
                 payload.len(),
@@ -369,6 +369,14 @@ fn decode_column(dtype: DataType, payload: &[u8], nrows: usize) -> Result<Column
             )
         }
         DataType::Utf8 => {
+            // Every value carries a 4-byte length prefix, so the payload
+            // bounds the row count before anything is allocated for it.
+            if nrows > payload.len() / 4 {
+                return Err(EngineError::Corrupt(format!(
+                    "string column of {} bytes cannot hold {nrows} rows",
+                    payload.len()
+                )));
+            }
             let mut out = Vec::with_capacity(nrows);
             let mut pos = 0usize;
             for _ in 0..nrows {
@@ -452,6 +460,35 @@ mod tests {
         let back = decode(encode(&t)).unwrap();
         assert_eq!(back.num_rows(), 0);
         assert_eq!(back.schema().field("x").unwrap().dtype, DataType::Utf8);
+    }
+
+    /// A header row count that the payload cannot back: `2^40` rows over
+    /// one empty column, the shape of a crafted wire frame.
+    fn huge_header(dtype: DataType) -> Bytes {
+        let mut raw = BytesMut::with_capacity(31);
+        raw.put_slice(MAGIC);
+        raw.put_u16_le(VERSION);
+        raw.put_u16_le(1);
+        raw.put_u64_le(1 << 40);
+        raw.put_u16_le(4);
+        raw.put_slice(b"evil");
+        raw.put_u8(dtype_tag(dtype));
+        raw.put_u64_le(0);
+        raw.freeze()
+    }
+
+    #[test]
+    fn rejects_row_counts_the_payload_cannot_hold() {
+        let utf8 = huge_header(DataType::Utf8);
+        assert_eq!(utf8.len(), 31);
+        assert!(matches!(decode(utf8), Err(EngineError::Corrupt(_))));
+        // `2^61 * 8` wraps to 0, the length of the empty payload.
+        let mut raw = huge_header(DataType::Int64).to_vec();
+        raw[8..16].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(matches!(
+            decode(Bytes::from(raw)),
+            Err(EngineError::Corrupt(_))
+        ));
     }
 
     #[test]

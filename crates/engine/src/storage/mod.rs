@@ -12,7 +12,7 @@ mod disk;
 mod memory;
 mod observe;
 
-pub use delta::{ingest, DeltaStore};
+pub use delta::DeltaStore;
 pub use disk::{DiskCatalog, EpochPin, Throttle};
 pub use memory::MemoryCatalog;
 pub use observe::{Observation, ObservationStore, OBSERVATION_RING, SIDECAR_FILE};

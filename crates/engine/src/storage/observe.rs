@@ -153,15 +153,11 @@ impl ObservationStore {
         }
         let mut full_rates = Vec::new();
         let mut inc_rates = Vec::new();
-        let mut write_rates = Vec::new();
         let mut ratios = Vec::new();
         for o in ring {
             if o.full {
                 if o.output_bytes > 0 && o.compute_s > 0.0 {
                     full_rates.push(o.compute_s / o.output_bytes as f64);
-                }
-                if o.output_bytes > 0 && o.write_s > 0.0 {
-                    write_rates.push(o.write_s / o.output_bytes as f64);
                 }
             } else {
                 // The incremental path's work scales with its *output*
@@ -175,13 +171,8 @@ impl ObservationStore {
                 if out_delta > 0 && o.compute_s > 0.0 {
                     inc_rates.push(o.compute_s / out_delta as f64);
                 }
-                if o.appended_bytes > 0 {
-                    if o.write_s > 0.0 {
-                        write_rates.push(o.write_s / o.appended_bytes as f64);
-                    }
-                    if o.delta_bytes > 0 {
-                        ratios.push(o.appended_bytes as f64 / o.delta_bytes as f64);
-                    }
+                if o.appended_bytes > 0 && o.delta_bytes > 0 {
+                    ratios.push(o.appended_bytes as f64 / o.delta_bytes as f64);
                 }
             }
         }
@@ -189,7 +180,6 @@ impl ObservationStore {
         Some(ObservedNodeCost {
             full_compute_s_per_byte: mean(&full_rates),
             inc_compute_s_per_byte: mean(&inc_rates),
-            write_s_per_byte: mean(&write_rates),
             output_delta_ratio: mean(&ratios),
             samples: ring.len(),
         })

@@ -14,13 +14,12 @@
 //! flood can never become a thread flood.
 //!
 //! Within a connection, requests are **pipelined**: a per-connection
-//! reader thread keeps pulling frames (up to
-//! [`ServeConfig::pipeline_depth`] ahead) while the worker executes and
-//! writes responses strictly in receipt order, so response ordering is
-//! preserved by construction and a client may batch writes without
-//! waiting for replies. The per-request deadline clock starts the moment
-//! a frame is fully received — queue time counts against the deadline,
-//! execution-slot luck does not.
+//! reader thread keeps pulling frames (up to eight ahead) while the
+//! worker executes and writes responses strictly in receipt order, so
+//! response ordering is preserved by construction and a client may batch
+//! writes without waiting for replies. The per-request deadline clock
+//! starts the moment a frame is fully received — queue time counts
+//! against the deadline, execution-slot luck does not.
 //!
 //! Every `ReadTable`/`Query`/`Stats` request executes against **one**
 //! [`ScSession::snapshot`] pin taken at dispatch and dropped when the
@@ -68,6 +67,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(25);
 /// beats a graceful goodbye.
 pub const MAX_DRAINERS: usize = 8;
 
+/// How many requests a connection's reader may receive ahead of the one
+/// currently executing.
+const PIPELINE_DEPTH: usize = 8;
+
 /// Server knobs. `Default` is tuned for tests and examples.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -79,11 +82,6 @@ pub struct ServeConfig {
     /// Per-request deadline, measured from the moment the request frame
     /// is fully received to the moment its response starts writing.
     pub deadline: Duration,
-    /// How many requests a connection's reader may receive ahead of the
-    /// one currently executing. `0` disables read-ahead (rendezvous):
-    /// the next frame is accepted only once the previous response is
-    /// being written.
-    pub pipeline_depth: usize,
     /// Byte budget for the shared-snapshot read cache ([`SnapshotCache`]);
     /// `0` disables caching entirely.
     pub cache_bytes: u64,
@@ -95,7 +93,6 @@ impl Default for ServeConfig {
             workers: 4,
             backlog: 64,
             deadline: Duration::from_secs(30),
-            pipeline_depth: 8,
             cache_bytes: 32 << 20,
         }
     }
@@ -523,7 +520,7 @@ enum Inbound {
 /// Pulls frames off the socket and into the bounded pipeline queue.
 /// Every non-`Frame` read is terminal, and so is a send failure (the
 /// executor hung up). The bounded `send` is the pipelining backpressure:
-/// at most `pipeline_depth` requests sit received-but-unexecuted.
+/// at most [`PIPELINE_DEPTH`] requests sit received-but-unexecuted.
 fn reader_loop(mut stream: TcpStream, halt: &Halt<'_>, tx: SyncSender<Inbound>) {
     loop {
         let item = match read_frame_polling(&mut stream, halt) {
@@ -560,7 +557,7 @@ fn serve_connection(
         return;
     };
     let done = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = sync_channel::<Inbound>(config.pipeline_depth);
+    let (tx, rx) = sync_channel::<Inbound>(PIPELINE_DEPTH);
     let reader = {
         let stop = Arc::clone(stop);
         let done = Arc::clone(&done);

@@ -275,6 +275,37 @@ fn empty_frame_is_malformed_not_a_panic() {
     server.shutdown();
 }
 
+/// An `Ingest` whose SCTB body claims `2^40` rows of one empty Utf8
+/// column: the decoder must reject it before allocating for the claimed
+/// rows, so the frame gets a typed `Malformed` and the server lives on.
+#[test]
+fn ingest_with_an_impossible_row_count_is_malformed() {
+    let dir = tempfile::tempdir().unwrap();
+    let server = start_server(dir.path());
+    let empty = sc_engine::TableBuilder::new()
+        .column("evil", sc_engine::DataType::Utf8)
+        .build();
+    let mut body = sc_engine::storage::format::encode(&empty).to_vec();
+    assert_eq!(body.len(), 31);
+    body[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    let table = "store_sales";
+    let mut payload = vec![0x03];
+    payload.extend_from_slice(&(table.len() as u32).to_le_bytes());
+    payload.extend_from_slice(table.as_bytes());
+    payload.extend_from_slice(&body);
+    let mut stream = raw_connect(&server);
+    send_raw_frame(&mut stream, &payload);
+    match read_raw_reply(&mut stream) {
+        RawReply::Frame(reply) => {
+            assert_eq!(reply[0], 0xEE);
+            assert_eq!(reply[1], ErrorCode::Malformed as u8);
+        }
+        RawReply::Closed => panic!("expected a typed error"),
+    }
+    assert_alive(&server);
+    server.shutdown();
+}
+
 #[test]
 fn unknown_table_is_a_typed_engine_error() {
     let dir = tempfile::tempdir().unwrap();

@@ -7,31 +7,12 @@ use std::fmt;
 pub enum SimError {
     /// The workload graph or execution order is invalid.
     Dag(sc_dag::DagError),
-    /// A flagged node did not fit the Memory Catalog while
-    /// [`crate::SimConfig::fallback_on_memory_pressure`] is disabled
-    /// (mirrors the engine's strict-failure mode).
-    MemoryBudgetExceeded {
-        /// Bytes the admission needed.
-        requested: u64,
-        /// Modeled catalog usage at that point.
-        used: u64,
-        /// The configured budget `M`.
-        budget: u64,
-    },
 }
 
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SimError::Dag(e) => write!(f, "dag: {e}"),
-            SimError::MemoryBudgetExceeded {
-                requested,
-                used,
-                budget,
-            } => write!(
-                f,
-                "memory catalog budget exceeded: requested {requested} B with {used}/{budget} B used"
-            ),
         }
     }
 }

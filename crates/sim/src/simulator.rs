@@ -2,7 +2,7 @@ use serde::{Deserialize, Serialize};
 
 use sc_core::{CostModel, FlagSet, NodeMode, Plan, RefreshMode};
 
-use crate::error::{Result, SimError};
+use crate::error::Result;
 use crate::report::{NodeTimeline, SimReport};
 use crate::workload::SimWorkload;
 
@@ -40,15 +40,6 @@ pub struct SimConfig {
     /// follows plan order. At `1` nodes run in exactly plan order, the
     /// paper's sequential controller.
     pub lanes: usize,
-    /// Multi-lane run-ahead window override; `None` derives it from the
-    /// lane count via [`sc_core::run_ahead_window`] (mirrors
-    /// `RefreshConfig::run_ahead_window` in the engine).
-    pub run_ahead_window: Option<usize>,
-    /// Mirror of the engine's `ControllerConfig::fallback_on_memory_pressure`:
-    /// when false, a flagged node that does not fit the Memory Catalog
-    /// fails the run ([`SimError::MemoryBudgetExceeded`]) instead of
-    /// falling back to a blocking write.
-    pub fallback_on_memory_pressure: bool,
     /// Full-vs-incremental maintenance policy, consulted for nodes whose
     /// [`crate::SimNode::delta_bytes`] annotation is set (mirrors
     /// `RefreshConfig::refresh_mode` in the engine).
@@ -79,8 +70,6 @@ impl SimConfig {
             per_node_overhead_s: 0.15,
             compute_penalty: 0.0,
             lanes: 1,
-            run_ahead_window: None,
-            fallback_on_memory_pressure: true,
             refresh_mode: RefreshMode::Auto,
             reader_read_bps: 0.0,
         }
@@ -96,18 +85,6 @@ impl SimConfig {
     /// The same environment with `lanes` compute lanes.
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Overrides the multi-lane run-ahead window.
-    pub fn with_run_ahead_window(mut self, window: usize) -> Self {
-        self.run_ahead_window = Some(window);
-        self
-    }
-
-    /// Overrides the memory-pressure fallback policy.
-    pub fn with_fallback_on_memory_pressure(mut self, fallback: bool) -> Self {
-        self.fallback_on_memory_pressure = fallback;
         self
     }
 
@@ -261,7 +238,7 @@ impl Simulator {
                                     parent.output_bytes + grown
                                 })
                                 .sum::<u64>();
-                        cfg.cost_model().incremental_refresh_wins_observed(
+                        cfg.cost_model().incremental_refresh_wins(
                             input,
                             node.output_bytes,
                             delta,
@@ -355,9 +332,7 @@ impl Simulator {
         let n = graph.len();
         let cfg = &self.config;
         let lanes = cfg.lanes.min(n.max(1));
-        let window = cfg
-            .run_ahead_window
-            .unwrap_or_else(|| sc_core::run_ahead_window(lanes));
+        let window = sc_core::run_ahead_window(lanes);
 
         /// Heap entries ordered by time then insertion sequence, so the
         /// simulation is fully deterministic.
@@ -666,19 +641,11 @@ impl Simulator {
                         bg_free_at = done;
                         persisted_s[cand] = done;
                         push(&mut events, $clock, Event::Publish(cand));
-                    } else if cfg.fallback_on_memory_pressure {
+                    } else {
                         // Memory pressure: blocking write on a worker lane,
                         // exactly like the engine's fallback Write task.
                         fell_back[cand] = true;
                         ready.insert(pos[cand], Job::Write(cand));
-                    } else {
-                        // Strict-failure mode: the first fallback aborts
-                        // the run, reporting the live catalog usage.
-                        return Err(SimError::MemoryBudgetExceeded {
-                            requested: dp.payload[cand],
-                            used: mem_used,
-                            budget: cfg.memory_budget,
-                        });
                     }
                     // Like the engine, a flagged node is admitted before
                     // its own execution releases its parents.
@@ -1331,74 +1298,40 @@ mod tests {
         SimConfig::paper(GIB).disk_read_time(8 * GIB)
     }
 
+    /// 24 roots with uneven compute at 4 lanes: a slow first root holds
+    /// every plan position past the window until it has computed.
     #[test]
-    fn strict_failure_mode_errors_instead_of_falling_back() {
-        let w = fig4();
-        let p = plan(&[0, 1, 2], &[0], 3);
-        for lanes in [1usize, 2] {
-            let cfg = SimConfig::paper(GIB) // mv1 won't fit
-                .with_lanes(lanes)
-                .with_fallback_on_memory_pressure(false);
-            match Simulator::new(cfg).run(&w, &p) {
-                Err(crate::SimError::MemoryBudgetExceeded {
-                    requested, budget, ..
-                }) => {
-                    assert_eq!(requested, 8 * GIB);
-                    assert_eq!(budget, GIB);
-                }
-                other => panic!("lanes={lanes}: expected budget error, got {other:?}"),
-            }
-            // Default still falls back.
-            let ok = Simulator::new(SimConfig::paper(GIB).with_lanes(lanes))
-                .run(&w, &p)
-                .unwrap();
-            assert_eq!(ok.fallbacks(), 1);
-        }
-        // The error reports the catalog usage at the failed admission:
-        // `a` is resident when `b` does not fit, at every lane count.
-        let w = SimWorkload::from_parts(
-            [
-                SimNode::new("a", 1.0, 4 * GIB, GIB),
-                SimNode::new("b", 1.0, 8 * GIB, GIB),
-                SimNode::new("c", 1.0, GIB, 0),
-            ],
-            [(0, 2), (1, 2)],
-        )
-        .unwrap();
-        let p = plan(&[0, 1, 2], &[0, 1], 3);
-        for lanes in [1usize, 2] {
-            let cfg = SimConfig::paper(5 * GIB)
-                .with_lanes(lanes)
-                .with_fallback_on_memory_pressure(false);
-            match Simulator::new(cfg).run(&w, &p) {
-                Err(crate::SimError::MemoryBudgetExceeded {
-                    requested,
-                    used,
-                    budget,
-                }) => {
-                    assert_eq!((requested, used, budget), (8 * GIB, 4 * GIB, 5 * GIB));
-                }
-                other => panic!("lanes={lanes}: expected budget error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn run_ahead_window_is_configurable() {
-        let nodes: Vec<SimNode> = (0..6)
-            .map(|i| SimNode::new(format!("mv{i}"), 5.0, GIB, 2 * GIB))
+    fn run_ahead_window_holds_starts_past_the_computed_prefix() {
+        let n = 24;
+        let lanes = 4;
+        let window = sc_core::run_ahead_window(lanes);
+        assert_eq!(window, 16);
+        let nodes: Vec<SimNode> = (0..n)
+            .map(|i| {
+                let compute = if i == 0 { 60.0 } else { 1.0 + (i % 5) as f64 };
+                SimNode::new(format!("mv{i}"), compute, GIB, 0)
+            })
             .collect();
         let w = SimWorkload::from_parts(nodes, []).unwrap();
-        let p = plan(&[0, 1, 2, 3, 4, 5], &[], 6);
-        let wide = Simulator::new(SimConfig::paper(GIB).with_lanes(4))
-            .run(&w, &p)
+        let order: Vec<usize> = (0..n).collect();
+        let r = Simulator::new(SimConfig::paper(GIB).with_lanes(lanes))
+            .run(&w, &plan(&order, &[], n))
             .unwrap();
-        // A zero window serializes starts to the computed prefix: strictly
-        // slower than the default window, but still completes.
-        let narrow = Simulator::new(SimConfig::paper(GIB).with_lanes(4).with_run_ahead_window(0))
-            .run(&w, &p)
-            .unwrap();
-        assert!(narrow.total_s > wide.total_s);
+        let computed = |q: usize| r.nodes[q].start_s + r.nodes[q].read_s + r.nodes[q].compute_s;
+        for p in window + 1..n {
+            for q in 0..p - window {
+                assert!(
+                    r.nodes[p].start_s >= computed(q),
+                    "position {p} started at {} before position {q} computed at {}",
+                    r.nodes[p].start_s,
+                    computed(q)
+                );
+            }
+        }
+        // The hold binds: without it position 17 would start long before
+        // the slow root finishes.
+        assert!(r.nodes[window + 1].start_s >= computed(0));
+        assert!(r.nodes[window].start_s < computed(0));
     }
 
     /// Flagging still helps under lanes: consumers read the hub from

@@ -15,7 +15,7 @@
 use std::collections::{HashMap, HashSet};
 
 use sc_core::RefreshMode;
-use sc_engine::controller::{MvDefinition, RefreshConfig, RunMetrics};
+use sc_engine::controller::{MvDefinition, RunMetrics};
 use sc_engine::storage::{DeltaStore, DiskCatalog, ObservationStore, Throttle};
 use sc_engine::{DataType, Table, TableBuilder, Value};
 use sc_sim::{SimConfig, SimWorkload};
@@ -151,14 +151,14 @@ impl ChurnRound {
         for (i, table) in self.tables.iter().enumerate() {
             let base = disk.read_table(table)?;
             let delta = generate_delta(&base, &self.stream, self.seed.wrapping_add(i as u64));
-            sc_engine::storage::ingest(disk, store, table, delta)?;
+            store.ingest(disk, table, delta)?;
         }
         Ok(())
     }
 }
 
 /// The configuration half of a scenario, shared verbatim by the engine
-/// (as a [`RefreshConfig`] plus catalog budget/throttle) and the
+/// (as the session's lanes, refresh mode, budget and throttle) and the
 /// simulator (as a [`SimConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
@@ -167,9 +167,6 @@ pub struct ScenarioConfig {
     /// Compute lanes executing DAG nodes (1 = the paper's sequential
     /// controller).
     pub lanes: usize,
-    /// Multi-lane run-ahead window override (`None` derives it from the
-    /// lane count).
-    pub run_ahead_window: Option<usize>,
     /// Full-vs-incremental maintenance policy.
     pub refresh_mode: RefreshMode,
     /// Optional storage pacing for the engine side; when set, the sim's
@@ -203,7 +200,6 @@ impl ScenarioConfig {
         ScenarioConfig {
             memory_budget,
             lanes: 1,
-            run_ahead_window: None,
             refresh_mode: RefreshMode::Auto,
             throttle: None,
             compact_every: None,
@@ -330,26 +326,14 @@ impl ScenarioSpec {
         }
     }
 
-    /// The engine-side refresh configuration this spec describes.
-    pub fn refresh_config(&self) -> RefreshConfig {
-        let mut rc = RefreshConfig::with_lanes(self.config.lanes)
-            .with_refresh_mode(self.config.refresh_mode);
-        if let Some(w) = self.config.run_ahead_window {
-            rc = rc.with_run_ahead_window(w);
-        }
-        rc
-    }
-
     /// The sim-side configuration this spec describes: same budget,
-    /// lanes, window, and refresh mode; disk bandwidths from the spec's
+    /// lanes and refresh mode; disk bandwidths from the spec's
     /// throttle when one is set (both sides then model the same device),
     /// the paper's measured disk otherwise.
     pub fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::paper(self.config.memory_budget).with_lanes(self.config.lanes);
-        if let Some(w) = self.config.run_ahead_window {
-            cfg = cfg.with_run_ahead_window(w);
-        }
-        cfg = cfg.with_refresh_mode(self.config.refresh_mode);
+        let mut cfg = SimConfig::paper(self.config.memory_budget)
+            .with_lanes(self.config.lanes)
+            .with_refresh_mode(self.config.refresh_mode);
         if let Some(t) = self.config.throttle {
             cfg.disk_read_bps = t.read_bps;
             cfg.disk_write_bps = t.write_bps;
@@ -516,9 +500,6 @@ mod tests {
                 write_bps: 2e6,
                 latency_s: 0.5,
             });
-        let rc = s.refresh_config();
-        assert_eq!(rc.lanes, 4);
-        assert_eq!(rc.refresh_mode, RefreshMode::AlwaysIncremental);
         let sim = s.sim_config();
         assert_eq!(sim.lanes, 4);
         assert_eq!(sim.refresh_mode, RefreshMode::AlwaysIncremental);

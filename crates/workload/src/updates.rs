@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 use sc_engine::controller::{Controller, MvDefinition, RunMetrics};
 use sc_engine::exec::{DeltaBatch, TableDelta};
-use sc_engine::storage::{ingest, DeltaStore, DiskCatalog};
+use sc_engine::storage::{DeltaStore, DiskCatalog};
 use sc_engine::{Table, Value};
 use sc_sim::{SimNode, SimWorkload};
 
@@ -187,7 +187,7 @@ impl JoinHubChurn {
         for (i, table) in self.fact_tables.iter().enumerate() {
             let base = disk.read_table(table)?;
             let delta = generate_delta(&base, &spec, seed.wrapping_add(i as u64));
-            ingest(disk, store, table, delta)?;
+            store.ingest(disk, table, delta)?;
         }
         Ok(())
     }

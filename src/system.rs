@@ -24,13 +24,10 @@ use parking_lot::{Mutex, RwLock};
 
 use sc_core::{CostModel, NodeMode, OptError, Plan, ScOptimizer};
 use sc_dag::{Dag, DagError, NodeId};
-use sc_engine::controller::{
-    Controller, ControllerConfig, MvDefinition, RefreshConfig, RunMetrics,
-};
+use sc_engine::controller::{Controller, MvDefinition, RefreshConfig, RunMetrics};
 use sc_engine::exec::TableDelta;
 use sc_engine::storage::{
-    self, DeltaStore, DiskCatalog, EpochPin, MemoryCatalog, ObservationStore, Throttle,
-    SIDECAR_FILE,
+    DeltaStore, DiskCatalog, EpochPin, MemoryCatalog, ObservationStore, Throttle, SIDECAR_FILE,
 };
 use sc_engine::EngineError;
 use sc_workload::engine_mvs::problem_from_metrics;
@@ -173,27 +170,14 @@ impl ScSessionBuilder {
         self
     }
 
-    /// Refresh parallelism and maintenance settings.
-    pub fn refresh_config(mut self, refresh: RefreshConfig) -> Self {
-        self.refresh = refresh;
-        self
-    }
-
-    /// Number of compute lanes (shorthand for a [`RefreshConfig`] field).
+    /// Number of compute lanes (a [`RefreshConfig`] field).
     pub fn lanes(mut self, lanes: usize) -> Self {
         self.refresh.lanes = lanes.max(1);
         self
     }
 
-    /// Multi-lane run-ahead window (shorthand for a [`RefreshConfig`]
+    /// Full-vs-incremental maintenance policy (a [`RefreshConfig`]
     /// field).
-    pub fn run_ahead_window(mut self, window: usize) -> Self {
-        self.refresh.run_ahead_window = Some(window);
-        self
-    }
-
-    /// Full-vs-incremental maintenance policy (shorthand for a
-    /// [`RefreshConfig`] field).
     pub fn refresh_mode(mut self, mode: sc_core::RefreshMode) -> Self {
         self.refresh.refresh_mode = mode;
         self
@@ -309,7 +293,8 @@ impl ScSession {
         let mut builder = ScSession::builder()
             .storage_dir(dir)
             .memory_budget(spec.config.memory_budget)
-            .refresh_config(spec.refresh_config())
+            .lanes(spec.config.lanes)
+            .refresh_mode(spec.config.refresh_mode)
             .runtime_feedback(spec.config.runtime_feedback);
         if let Some(t) = spec.config.throttle {
             builder = builder.throttle(t);
@@ -443,7 +428,7 @@ impl ScSession {
     /// recomputed MV, the log is poisoned so that refresh recomputes the
     /// affected MVs instead of double-applying).
     pub fn ingest_delta(&self, table: &str, delta: TableDelta) -> Result<()> {
-        Ok(storage::ingest(&self.disk, &self.deltas, table, delta)?)
+        Ok(self.deltas.ingest(&self.disk, table, delta)?)
     }
 
     /// Executes one refresh run of `mvs` under `plan`.
@@ -456,10 +441,7 @@ impl ScSession {
         // means a batch ingested *during* this run is detected and
         // poisons the log instead of being double-applied next refresh.
         let mut controller = Controller::new(&self.disk, &self.memory)
-            .with_config(ControllerConfig {
-                cost_model: self.cost.clone(),
-                ..ControllerConfig::default()
-            })
+            .with_cost_model(self.cost.clone())
             .with_refresh_config(self.refresh)
             .with_delta_store(&self.deltas);
         if let Some((store, _)) = &self.observations {
@@ -659,6 +641,38 @@ mod tests {
             sys.register_mv(mv).unwrap();
         }
         (dir, sys)
+    }
+
+    /// `from_spec` applies every config value the spec carries: lanes,
+    /// maintenance mode, budget and storage pacing.
+    #[test]
+    fn from_spec_applies_the_spec_config() {
+        use sc_core::RefreshMode;
+        use std::time::{Duration, Instant};
+
+        let dir = tempfile::tempdir().unwrap();
+        let spec = ScenarioSpec::sales_pipeline(0.05, 7, 3 << 20)
+            .with_lanes(2)
+            .with_refresh_mode(RefreshMode::AlwaysIncremental)
+            .with_throttle(Throttle {
+                read_bps: 64e9,
+                write_bps: 64e9,
+                latency_s: 0.02,
+            });
+        let sys = ScSession::from_spec(dir.path(), &spec).unwrap();
+        assert_eq!(
+            sys.refresh_config(),
+            RefreshConfig::with_lanes(2).with_refresh_mode(RefreshMode::AlwaysIncremental)
+        );
+        assert_eq!(sys.memory().budget(), 3 << 20);
+        assert_eq!(sys.mvs().len(), spec.mvs.len());
+        let started = Instant::now();
+        sys.disk().read_table("store_sales").unwrap();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= Duration::from_millis(20),
+            "storage reads not paced by the spec's throttle: {elapsed:?}"
+        );
     }
 
     #[test]

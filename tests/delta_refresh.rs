@@ -21,7 +21,7 @@ use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
 use sc_engine::exec::AggFunc;
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{self, DeltaStore, DiskCatalog, MemoryCatalog};
+use sc_engine::storage::{DeltaStore, DiskCatalog, MemoryCatalog};
 use sc_workload::engine_mvs::sales_pipeline;
 use sc_workload::tpcds::TinyTpcds;
 use sc_workload::updates::{generate_delta, JoinHubChurn, UpdateStreamSpec};
@@ -164,7 +164,7 @@ fn incremental_refresh_is_byte_identical_across_update_streams() {
             for r in [&full, &inc] {
                 let sales = r.disk.read_table("store_sales").unwrap();
                 let delta = generate_delta(&sales, spec, round as u64 + 99);
-                storage::ingest(&r.disk, &r.store, "store_sales", delta).unwrap();
+                r.store.ingest(&r.disk, "store_sales", delta).unwrap();
             }
             let fm = refresh(&full, &mvs, &plan, lanes, RefreshMode::AlwaysFull);
             let im = refresh(&inc, &mvs, &plan, lanes, RefreshMode::AlwaysIncremental);
@@ -246,13 +246,9 @@ fn deletes_propagate_through_filter_chains_only() {
     let spec = UpdateStreamSpec::mixed(0.0, 0.0, 0.05); // pure deletes
     for r in [&full, &inc] {
         let sales = r.disk.read_table("store_sales").unwrap();
-        storage::ingest(
-            &r.disk,
-            &r.store,
-            "store_sales",
-            generate_delta(&sales, &spec, 5),
-        )
-        .unwrap();
+        r.store
+            .ingest(&r.disk, "store_sales", generate_delta(&sales, &spec, 5))
+            .unwrap();
     }
     refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
     let im = refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysIncremental);
@@ -295,7 +291,7 @@ fn delta_payload_admission_fits_where_full_tables_cannot() {
 
     let sales = r.disk.read_table("store_sales").unwrap();
     let delta = generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 3);
-    storage::ingest(&r.disk, &r.store, "store_sales", delta).unwrap();
+    r.store.ingest(&r.disk, "store_sales", delta).unwrap();
 
     for lanes in [1usize, 4] {
         // Re-ingest for the second lane round (the first refresh consumed
@@ -303,7 +299,7 @@ fn delta_payload_admission_fits_where_full_tables_cannot() {
         if r.store.is_empty() {
             let sales = r.disk.read_table("store_sales").unwrap();
             let delta = generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 4);
-            storage::ingest(&r.disk, &r.store, "store_sales", delta).unwrap();
+            r.store.ingest(&r.disk, "store_sales", delta).unwrap();
         }
         let im = refresh(&r, &mvs, &plan, lanes, RefreshMode::AlwaysIncremental);
         let hub = &im.nodes[0];
@@ -319,13 +315,13 @@ fn delta_payload_admission_fits_where_full_tables_cannot() {
 
     // The same flag under a full refresh cannot fit and falls back.
     let sales = r.disk.read_table("store_sales").unwrap();
-    storage::ingest(
-        &r.disk,
-        &r.store,
-        "store_sales",
-        generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 5),
-    )
-    .unwrap();
+    r.store
+        .ingest(
+            &r.disk,
+            "store_sales",
+            generate_delta(&sales, &UpdateStreamSpec::inserts(0.02), 5),
+        )
+        .unwrap();
     let fm = refresh(&r, &mvs, &plan, 1, RefreshMode::AlwaysFull);
     assert!(fm.nodes[0].fell_back, "full table cannot fit the budget");
 }
@@ -484,13 +480,9 @@ fn spilled_delta_is_read_back_when_consumer_is_off_catalog() {
     let spec = UpdateStreamSpec::inserts(0.05);
     for r in [&full, &inc] {
         let sales = r.disk.read_table("store_sales").unwrap();
-        storage::ingest(
-            &r.disk,
-            &r.store,
-            "store_sales",
-            generate_delta(&sales, &spec, 17),
-        )
-        .unwrap();
+        r.store
+            .ingest(&r.disk, "store_sales", generate_delta(&sales, &spec, 17))
+            .unwrap();
     }
     refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);
     let im = refresh(&inc, &mvs, &plan, 1, RefreshMode::AlwaysIncremental);
@@ -583,13 +575,13 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     // streams are deterministic regardless of timing.
     let fast = DiskCatalog::open(dir.path()).unwrap();
     let sales = fast.read_table("store_sales").unwrap();
-    storage::ingest(
-        &fast,
-        &store,
-        "store_sales",
-        generate_delta(&sales, &UpdateStreamSpec::inserts(0.04), 21),
-    )
-    .unwrap();
+    store
+        .ingest(
+            &fast,
+            "store_sales",
+            generate_delta(&sales, &UpdateStreamSpec::inserts(0.04), 21),
+        )
+        .unwrap();
     std::thread::scope(|scope| {
         let refresh_thread = scope.spawn(|| {
             Controller::new(&disk, &mem)
@@ -602,13 +594,13 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
         });
         std::thread::sleep(std::time::Duration::from_millis(30));
         let sales = fast.read_table("store_sales").unwrap();
-        storage::ingest(
-            &fast,
-            &store,
-            "store_sales",
-            generate_delta(&sales, &UpdateStreamSpec::inserts(0.03), 22),
-        )
-        .unwrap();
+        store
+            .ingest(
+                &fast,
+                "store_sales",
+                generate_delta(&sales, &UpdateStreamSpec::inserts(0.03), 22),
+            )
+            .unwrap();
         refresh_thread.join().unwrap();
     });
     // If Δ2 landed mid-run it is already in the recomputed MVs and the
@@ -645,13 +637,14 @@ fn concurrent_ingest_during_refresh_never_double_applies() {
     for seed in [21u64, 22] {
         let sales = control.disk.read_table("store_sales").unwrap();
         let frac = if seed == 21 { 0.04 } else { 0.03 };
-        storage::ingest(
-            &control.disk,
-            &control.store,
-            "store_sales",
-            generate_delta(&sales, &UpdateStreamSpec::inserts(frac), seed),
-        )
-        .unwrap();
+        control
+            .store
+            .ingest(
+                &control.disk,
+                "store_sales",
+                generate_delta(&sales, &UpdateStreamSpec::inserts(frac), seed),
+            )
+            .unwrap();
         refresh(&control, &mvs, &plan, 1, RefreshMode::AlwaysFull);
     }
     for mv in &mvs {
@@ -721,7 +714,9 @@ fn unsupported_shapes_fall_back_rather_than_error() {
         for r in [&full, &inc] {
             for table in ["store_sales", "catalog_sales"] {
                 let base = r.disk.read_table(table).unwrap();
-                storage::ingest(&r.disk, &r.store, table, generate_delta(&base, spec, 31)).unwrap();
+                r.store
+                    .ingest(&r.disk, table, generate_delta(&base, spec, 31))
+                    .unwrap();
             }
         }
         refresh(&full, &mvs, &plan, 1, RefreshMode::AlwaysFull);

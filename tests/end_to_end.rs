@@ -165,8 +165,6 @@ fn simulator_and_engine_agree_on_plan_ranking() {
         per_node_overhead_s: 0.0,
         compute_penalty: 0.0,
         lanes: 1,
-        run_ahead_window: None,
-        fallback_on_memory_pressure: true,
         refresh_mode: sc_core::RefreshMode::Auto,
         reader_read_bps: 0.0,
     };

@@ -31,7 +31,7 @@ use sc_engine::controller::{Controller, MvDefinition, RefreshConfig};
 use sc_engine::exec::{AggFunc, SortKey};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
-use sc_engine::storage::{self, DeltaStore, DiskCatalog, MemoryCatalog};
+use sc_engine::storage::{DeltaStore, DiskCatalog, MemoryCatalog};
 use sc_engine::{DataType, RunMetrics, Table, TableBuilder, Value};
 use sc_workload::updates::{generate_delta, UpdateStreamSpec};
 
@@ -263,7 +263,7 @@ proptest! {
                 for (table, spec) in churn {
                     let base = r.disk.read_table(table).unwrap();
                     let delta = generate_delta(&base, spec, seed ^ (round as u64 * 7919 + 13));
-                    storage::ingest(&r.disk, &r.store, table, delta).unwrap();
+                    r.store.ingest(&r.disk, table, delta).unwrap();
                 }
             }
             refresh(&reference, &case, &plan, 1, RefreshMode::AlwaysFull);

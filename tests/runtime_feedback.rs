@@ -22,7 +22,7 @@
 use sc::ScSession;
 use sc_core::{CostModel, FlagSet, ModeReason, NodeMode, Plan, RefreshMode};
 use sc_dag::NodeId;
-use sc_engine::controller::{Controller, ControllerConfig, CostProvenance, MvDefinition};
+use sc_engine::controller::{Controller, CostProvenance, MvDefinition};
 use sc_engine::exec::{AggFunc, TableDelta};
 use sc_engine::expr::Expr;
 use sc_engine::plan::{AggExpr, LogicalPlan};
@@ -148,7 +148,7 @@ fn observed_compute_rate_flips_the_misranked_aggregate() {
     // carries enough compute to flip the same comparison.
     let cm = fast_storage();
     assert!(
-        !cm.incremental_refresh_wins(input, output, delta, 0, None),
+        !cm.incremental_refresh_wins(input, output, delta, 0, None, None),
         "scenario must be statically misranked (I/O terms pick Full)"
     );
     let sidecar = ObservationStore::load(dir.path().join(SIDECAR_FILE));
@@ -157,7 +157,7 @@ fn observed_compute_rate_flips_the_misranked_aggregate() {
         .expect("warm-up must persist an observation for the node identity");
     assert!(summary.has_compute());
     assert!(
-        cm.incremental_refresh_wins_observed(input, output, delta, 0, None, Some(&summary)),
+        cm.incremental_refresh_wins(input, output, delta, 0, None, Some(&summary)),
         "observed compute rate must flip the comparison: {summary:?}"
     );
 
@@ -393,10 +393,7 @@ fn child_decision_prices_post_update_parent_size() {
     let run = || {
         Controller::new(&disk, &mem)
             .with_delta_store(&store)
-            .with_config(ControllerConfig {
-                cost_model: cm.clone(),
-                ..ControllerConfig::default()
-            })
+            .with_cost_model(cm.clone())
             .refresh(&mvs, &plan)
     };
     run().unwrap(); // materialize both levels
@@ -416,17 +413,17 @@ fn child_decision_prices_post_update_parent_size() {
     // 3δ here (delta read + catalog read + appended write); the full path
     // costs input + C.
     assert!(
-        !cm.incremental_refresh_wins(parent, child, delta, 0, Some(delta)),
+        !cm.incremental_refresh_wins(parent, child, delta, 0, Some(delta), None),
         "stale pre-run parent size must rank the child Full (P={parent} C={child} d={delta})"
     );
     assert!(
-        cm.incremental_refresh_wins(parent + delta, child, delta, 0, Some(delta)),
+        cm.incremental_refresh_wins(parent + delta, child, delta, 0, Some(delta), None),
         "post-update parent size must rank the child Incremental (P={parent} C={child} d={delta})"
     );
     // And the parent itself maintains incrementally, so the child really
     // faces a grown parent at execution time.
     let src = disk.size_of("src").unwrap();
-    assert!(cm.incremental_refresh_wins(src, parent, delta, 0, Some(delta)));
+    assert!(cm.incremental_refresh_wins(src, parent, delta, 0, Some(delta), None));
 
     let metrics = run().unwrap();
     let mode = |name: &str| {
@@ -472,7 +469,6 @@ fn sim_auto_consults_observed_compute_like_the_engine() {
     let observed = sc_core::ObservedNodeCost {
         full_compute_s_per_byte: Some(1e-6),
         inc_compute_s_per_byte: None,
-        write_s_per_byte: None,
         output_delta_ratio: None,
         samples: 3,
     };
@@ -485,8 +481,8 @@ fn sim_auto_consults_observed_compute_like_the_engine() {
     );
     // Same comparison the engine makes, bit for bit.
     let cm = cfg.cost_model();
-    assert!(!cm.incremental_refresh_wins(mb, mb, 10 << 10, 0, None));
-    assert!(cm.incremental_refresh_wins_observed(mb, mb, 10 << 10, 0, None, Some(&observed)));
+    assert!(!cm.incremental_refresh_wins(mb, mb, 10 << 10, 0, None, None));
+    assert!(cm.incremental_refresh_wins(mb, mb, 10 << 10, 0, None, Some(&observed)));
 }
 
 /// The spec bridge: `mirror_observed` annotates every mirrored node with
